@@ -1,13 +1,13 @@
 """Distance-t balls, two ways, plus the t-prefix counting machinery.
 
-`ball_bfs` is the ground truth: plain breadth-first search over the
-undirected shift adjacency.  `ball_closed_form` rebuilds the same set from
-wildcard patterns, using the structure of shortest paths in B(d, n): every
-shortest path can be arranged as at most three runs of same-direction
-shifts, forward-backward-forward (FBF) or backward-forward-backward (BFB),
-where "forward" prepends a free symbol (toward directed in-neighbors) and
-"backward" appends one.  A run triple with middle run b and outer runs f, g
-reaches exactly the pattern
+`ball_bfs` is the ground truth: the first t+1 layers of the graph's
+breadth-first kernel (`DeBruijnGraph.bfs_layers`), packed into a bitset.
+`ball_closed_form` rebuilds the same set from wildcard patterns, using the
+structure of shortest paths in B(d, n): every shortest path can be arranged
+as at most three runs of same-direction shifts, forward-backward-forward
+(FBF) or backward-forward-backward (BFB), where "forward" prepends a free
+symbol (toward directed in-neighbors) and "backward" appends one.  A run
+triple with middle run b and outer runs f, g reaches exactly the pattern
 
     FBF (f, b, g):  [d]^g + x_{b-f+1} ... x_{n-f} + [d]^{b-g}
     BFB (b, f, c):  [d]^{f-c} + x_{b+1} ... x_{n-f+b} + [d]^c
@@ -20,6 +20,11 @@ enumerated too or the union comes up short of the true ball.
 
 Pattern expansions overlap heavily; everything accumulates into one bitset
 because B_t(x) is a set.
+
+`all_balls` holds one d^n-bit ball per vertex, so it grows quadratically
+in the vertex count; only the hitting-set constraint builder, which needs
+every ball as a bitset anyway, uses it.  Twin detection and code
+verification key each vertex by its ball's id list instead (see codes).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from .errors import InvalidParameters, NotApplicable
 from .graph import DeBruijnGraph
 from .strings import DBString, decode, encode
-from .vertexset import VertexSet
+from .vertexset import VertexSet, mask_of
 
 FBF = "FBF"
 BFB = "BFB"
@@ -158,23 +163,9 @@ def pattern_for(x: DBString, p: PathParams) -> Pattern:
 
 
 def ball_bfs(g: DeBruijnGraph, x: int, t: int) -> VertexSet:
-    """B_t(x) by frontier expansion; includes x itself."""
-    if t < 0:
-        raise InvalidParameters("radius must be >= 0", t=t)
-    g._check_vertex(x)
-    visited = 1 << x
-    frontier = [x]
-    for _ in range(t):
-        nxt = []
-        for v in frontier:
-            for w in g.neighbor_ids(v):
-                if not (visited >> w) & 1:
-                    visited |= 1 << w
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return visited
+    """B_t(x) as a bitset, from the first t+1 layers of the traversal
+    kernel; includes x itself."""
+    return mask_of(v for layer in g.bfs_layers(x, t) for v in layer)
 
 
 def ball_closed_form(x: DBString, t: int) -> VertexSet:

@@ -42,16 +42,52 @@ def _emit(obj, pretty: bool) -> None:
 
 def _max_vertices(args) -> int:
     if args.max_vertices is not None:
-        return args.max_vertices
-    env = os.environ.get(ENV_MAX_VERTICES)
-    if env is not None:
+        cap, source = args.max_vertices, "--max-vertices"
+    else:
+        env = os.environ.get(ENV_MAX_VERTICES)
+        if env is None:
+            return DEFAULT_MAX_VERTICES
         try:
-            return int(env)
+            cap, source = int(env), ENV_MAX_VERTICES
         except ValueError:
             raise InvalidParameters(
                 f"{ENV_MAX_VERTICES} must be an integer", value=env
             )
-    return DEFAULT_MAX_VERTICES
+    if cap < 1:
+        raise InvalidParameters(f"{source} must be >= 1", value=cap)
+    return cap
+
+
+def _check_budget(args) -> None:
+    if args.budget is not None and args.budget < 0:
+        raise InvalidParameters("--budget must be >= 0", value=args.budget)
+
+
+def _open(path: str, mode: str, **kwargs):
+    """open() whose OS errors (missing file, no permission, a directory)
+    become parameter errors."""
+    try:
+        return open(path, mode, encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise InvalidParameters(f"cannot open {path!r}: {exc.strerror or exc}")
+
+
+def _read_code_file(path: str) -> dict:
+    """The JSON object in a --verify file, checked to carry a "code" list
+    of vertex strings."""
+    with _open(path, "r") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise InvalidParameters(f"code file {path!r} is not JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise InvalidParameters(f"code file {path!r} must hold a JSON object")
+    code = payload.get("code")
+    if not isinstance(code, list) or not all(isinstance(s, str) for s in code):
+        raise InvalidParameters(
+            f"code file {path!r} needs a \"code\" list of vertex strings"
+        )
+    return payload
 
 
 def _graph(args) -> DeBruijnGraph:
@@ -102,7 +138,7 @@ def cmd_graph(args) -> int:
         "loops": len(g.loop_vertices()),
     }
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
+        with _open(args.dot, "w") as fh:
             fh.write(export_dot(g, highlight))
         stats["dot"] = args.dot
     _emit(stats, args.pretty)
@@ -144,9 +180,9 @@ def cmd_check(args) -> int:
 
 def cmd_code(args) -> int:
     g = _graph(args)
+    _check_budget(args)
     if args.verify:
-        with open(args.verify, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _read_code_file(args.verify)
         for key, expected in (("d", g.d), ("n", g.n), ("t", args.t)):
             if key in payload and payload[key] != expected:
                 raise InvalidParameters(
@@ -189,7 +225,7 @@ def cmd_code(args) -> int:
 def cmd_ecc(args) -> int:
     g = _graph(args)
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with _open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["d", "n", "vertex", "eccentricity", "witness"])
             for rep in metrics.eccentricity_table(g):
@@ -236,8 +272,8 @@ def cmd_sweep(args) -> int:
     ns = _int_list(args.n)
     fixed_ts = None if args.t == "auto" else _int_list(args.t)
     max_vertices = _max_vertices(args)
-    out_fh = open(args.out, "w", newline="", encoding="utf-8") if args.out \
-        else sys.stdout
+    _check_budget(args)
+    out_fh = _open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out_fh)
         writer.writerow(SWEEP_CSV_HEADER)

@@ -2,17 +2,27 @@
 
 A code S works iff (1) every ball B_t(x) meets S and (2) no two identifying
 sets B_t(x) & S coincide.  Twins (vertices with identical balls) are the
-sole obstruction to existence.  Both search routines run on the hitting-set
-reformulation: S is valid iff it intersects every ball and every symmetric
-difference of balls of non-twin pairs within distance 2t; pairs farther
-apart are separated for free by their own centers.
+sole obstruction to existence.
+
+Twin detection and code verification work one vertex at a time on the
+graph's traversal kernel (`DeBruijnGraph.bfs_layers`): each vertex is keyed
+by the sorted ids of B_t(v), or of B_t(v) & S, packed into bytes, and equal
+keys are grouped by hashing.  Memory is the sum of those keys, never the
+quadratic table of every ball as a d^n-bit set.
+
+Both search routines run on the hitting-set reformulation: S is valid iff
+it intersects every ball and every symmetric difference of balls of
+non-twin pairs within distance 2t; pairs farther apart are separated for
+free by their own centers.  `min_code` builds these constraints once and
+seeds its incumbent with the greedy code over the same list.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
-from .balls import all_balls, ball_bfs
+from .balls import all_balls
 from .errors import CodeVertexOutOfRange, InfeasibleNoCode, InvalidParameters
 from .graph import DeBruijnGraph
 from .vertexset import VertexSet, bits, popcount
@@ -76,23 +86,36 @@ def _check_t(t: int) -> None:
         raise InvalidParameters("radius must satisfy t >= 1", t=t)
 
 
+def _ball_ids(g: DeBruijnGraph, v: int, t: int) -> list[int]:
+    """Ids of B_t(v), unordered, straight from the traversal kernel."""
+    return [w for layer in g.bfs_layers(v, t) for w in layer]
+
+
+def _key(ids: list[int]) -> bytes:
+    """Exact hashable key of an id set: its sorted ids packed as int64s."""
+    return array("q", sorted(ids)).tobytes()
+
+
+def _grouped_pairs(groups: dict[bytes, list[int]]) -> list[tuple[int, int]]:
+    """Every pair x < y of vertices that share a group, in sorted order."""
+    pairs = [(x, y) for members in groups.values()
+             for i, x in enumerate(members) for y in members[i + 1:]]
+    pairs.sort()
+    return pairs
+
+
 def find_twins(g: DeBruijnGraph, t: int) -> list[TwinPair]:
     """All unordered twin pairs; empty iff the graph is t-identifiable.
 
-    Balls are grouped by their bitset value, so each pair comparison is an
-    expected O(1) hash lookup rather than a quadratic scan.
+    Vertices are grouped by the exact key of their ball's id list, so
+    memory is O(sum of |B_t(v)|), not one d^n-bit ball per vertex, and each
+    comparison is an expected O(1) hash lookup.
     """
     _check_t(t)
-    groups: dict[VertexSet, list[int]] = {}
-    for v, b in enumerate(all_balls(g, t)):
-        groups.setdefault(b, []).append(v)
-    pairs = []
-    for members in groups.values():
-        for i, x in enumerate(members):
-            for y in members[i + 1:]:
-                pairs.append(TwinPair(x=x, y=y, t=t))
-    pairs.sort(key=lambda p: (p.x, p.y))
-    return pairs
+    groups: dict[bytes, list[int]] = {}
+    for v in range(g.vertex_count):
+        groups.setdefault(_key(_ball_ids(g, v, t)), []).append(v)
+    return [TwinPair(x=x, y=y, t=t) for x, y in _grouped_pairs(groups)]
 
 
 def is_identifiable(g: DeBruijnGraph, t: int) -> tuple[bool, TwinPair | None]:
@@ -104,25 +127,25 @@ def is_identifiable(g: DeBruijnGraph, t: int) -> tuple[bool, TwinPair | None]:
 
 
 def verify_code(g: DeBruijnGraph, code: VertexSet, t: int) -> CodeReport:
-    """Check both code conditions exhaustively and report all witnesses."""
+    """Check both code conditions exhaustively and report all witnesses.
+
+    Each vertex is keyed by the ids of its identifying set B_t(v) & code,
+    one vertex at a time; vertices with equal keys collide, and those with
+    empty keys also fail domination.
+    """
     _check_t(t)
     if code >> g.vertex_count:
         bad = next(bits(code >> g.vertex_count)) + g.vertex_count
         raise CodeVertexOutOfRange(bad, g.vertex_count)
-    balls = all_balls(g, t)
+    member = code.to_bytes(-(-g.vertex_count // 8), "little")
     failures = []
-    seen: dict[VertexSet, list[int]] = {}
+    groups: dict[bytes, list[int]] = {}
     for v in range(g.vertex_count):
-        ident = balls[v] & code
+        ident = [w for w in _ball_ids(g, v, t) if member[w >> 3] >> (w & 7) & 1]
         if not ident:
             failures.append(v)
-        seen.setdefault(ident, []).append(v)
-    collisions = []
-    for members in seen.values():
-        for i, x in enumerate(members):
-            for y in members[i + 1:]:
-                collisions.append((x, y))
-    collisions.sort()
+        groups.setdefault(_key(ident), []).append(v)
+    collisions = _grouped_pairs(groups)
     return CodeReport(
         valid=not failures and not collisions,
         domination_failures=failures,
@@ -152,10 +175,7 @@ def build_constraints(g: DeBruijnGraph, t: int) -> list[SeparationConstraint]:
             seen_targets.add(target)
             out.append(SeparationConstraint("domination", (v,), target))
     for x in range(g.vertex_count):
-        reach = ball_bfs(g, x, 2 * t)
-        for y in bits(reach):
-            if y <= x:
-                continue
+        for y in sorted(w for w in _ball_ids(g, x, 2 * t) if w > x):
             target = balls[x] ^ balls[y]
             if target not in seen_targets:
                 seen_targets.add(target)
@@ -163,20 +183,26 @@ def build_constraints(g: DeBruijnGraph, t: int) -> list[SeparationConstraint]:
     return out
 
 
-def greedy_code(g: DeBruijnGraph, t: int) -> VertexSet:
-    """A valid code by repeatedly taking the vertex hitting the most
-    unsatisfied constraints; ties broken by smallest id."""
-    unsatisfied = [c.target for c in build_constraints(g, t)]
+def _greedy(targets: list[VertexSet], vertex_count: int) -> VertexSet:
+    """Repeatedly take the vertex hitting the most unhit targets; ties go
+    to the smallest id."""
+    unsatisfied = targets
     chosen = 0
     while unsatisfied:
-        counts = [0] * g.vertex_count
+        counts = [0] * vertex_count
         for target in unsatisfied:
             for v in bits(target):
                 counts[v] += 1
-        best = max(range(g.vertex_count), key=lambda v: (counts[v], -v))
+        best = max(range(vertex_count), key=lambda v: (counts[v], -v))
         chosen |= 1 << best
         unsatisfied = [m for m in unsatisfied if not (m >> best) & 1]
     return chosen
+
+
+def greedy_code(g: DeBruijnGraph, t: int) -> VertexSet:
+    """A valid code by repeatedly taking the vertex hitting the most
+    unsatisfied constraints; ties broken by smallest id."""
+    return _greedy([c.target for c in build_constraints(g, t)], g.vertex_count)
 
 
 def _packing_bound(targets: list[VertexSet]) -> int:
@@ -194,20 +220,20 @@ def min_code(g: DeBruijnGraph, t: int, node_budget: int | None = None,
              exact_cap: int = DEFAULT_EXACT_CAP) -> MinCodeResult:
     """Smallest code by branch and bound over the hitting-set constraints.
 
-    The greedy code seeds the incumbent; the lower bound is a maximal
-    family of pairwise-disjoint unsatisfied targets; branching picks the
-    unsatisfied constraint with the smallest target and tries each of its
-    vertices in ascending order.  With no explicit budget, graphs up to
-    `exact_cap` vertices are solved to proven optimality and larger ones
-    get a default node budget; `optimal` reports whether the search
-    completed.
+    The greedy code over the same constraints seeds the incumbent; the
+    lower bound is a maximal family of pairwise-disjoint unsatisfied
+    targets; branching picks the unsatisfied constraint with the smallest
+    target and tries each of its vertices in ascending order.  With no
+    explicit budget, graphs up to `exact_cap` vertices are solved to proven
+    optimality and larger ones get a default node budget; `optimal` reports
+    whether the search completed.
     """
     constraints = build_constraints(g, t)
     targets = [c.target for c in constraints]
     if node_budget is None and g.vertex_count > exact_cap:
         node_budget = DEFAULT_NODE_BUDGET
 
-    best = greedy_code(g, t)
+    best = _greedy(targets, g.vertex_count)
     best_size = popcount(best)
     nodes = 0
     aborted = False

@@ -6,6 +6,12 @@ is computed on demand from the shift algebra; nothing is stored per vertex.
 Self-loops (at the constant words a^n) are stripped from the neighbor
 relation, since they never affect distances, balls, or identification, but
 they are reported via has_loop() and drawn by the DOT export.
+
+`DeBruijnGraph.bfs_layers` is the package's traversal kernel: a layered
+breadth-first frontier that balls, distance arrays, eccentricities, twin
+detection, code verification and the constraint builder run on.  Its
+memory is the set of ids it has reached, so a radius-t query costs
+O(|B_t(x)|), not O(d^n).
 """
 
 from __future__ import annotations
@@ -71,6 +77,63 @@ class DeBruijnGraph:
         out.update(self.left_shift_ids(v))
         out.discard(v)
         return sorted(out)
+
+    def bfs_layers(self, source: int,
+                   radius: int | None = None) -> Iterator[list[int]]:
+        """Breadth-first layers around source: [source], then the ids at
+        distance 1, 2, ..., up to `radius` (all of them when None).
+
+        Each layer lists its ids once, in discovery order.  Neighbours come
+        straight from the shift algebra, (v mod d^(n-1))*d + a and
+        v // d + a*d^(n-1); a record of reached ids drops repeats, the
+        source's own loop included.  A bounded traversal keeps that record
+        in a set, so its cost follows |B_radius(source)|, not d^n; a
+        whole-graph traversal reaches every id, and one byte per id is
+        smaller than a set of them.
+        """
+        if radius is not None and radius < 0:
+            raise InvalidParameters("radius must be >= 0", t=radius)
+        self._check_vertex(source)
+        d, high, count = self.d, self._suffix_base, self.vertex_count
+        whole = radius is None
+        if whole:
+            marks = bytearray(count)
+            marks[source] = 1
+        else:
+            seen = {source}
+        layer = [source]
+        depth = 0
+        while layer:
+            yield layer
+            if depth == radius:
+                return
+            depth += 1
+            nxt = []
+            # One copy of the expansion per record type: a branch per
+            # neighbour cost 10-40% of the traversal time.
+            if whole:
+                for v in layer:
+                    right = v % high * d
+                    for w in range(right, right + d):
+                        if not marks[w]:
+                            marks[w] = 1
+                            nxt.append(w)
+                    for w in range(v // d, count, high):
+                        if not marks[w]:
+                            marks[w] = 1
+                            nxt.append(w)
+            else:
+                for v in layer:
+                    right = v % high * d
+                    for w in range(right, right + d):
+                        if w not in seen:
+                            seen.add(w)
+                            nxt.append(w)
+                    for w in range(v // d, count, high):
+                        if w not in seen:
+                            seen.add(w)
+                            nxt.append(w)
+            layer = nxt
 
     def neighbors(self, v: int) -> VertexSet:
         return mask_of(self.neighbor_ids(v))

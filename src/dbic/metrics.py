@@ -1,13 +1,15 @@
 """Shortest-path distances, eccentricity, radius/diameter, and antipodal
 vertex construction on B(d, n).
 
-All-pairs work runs as one single-source BFS per vertex; only the current
-distance array is held at a time.
+Distances and eccentricities run on the graph's breadth-first kernel
+(`DeBruijnGraph.bfs_layers`).  An eccentricity is the depth of the last
+layer, so all-pairs work runs the kernel once per vertex and holds no
+distance array.  `distance` still runs its own frontier loop, stopping at
+the first sight of its target.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import InvalidParameters
@@ -24,17 +26,10 @@ class EccentricityReport:
 
 def bfs_distances(g: DeBruijnGraph, source: int) -> list[int]:
     """Distance from source to every vertex (B(d, n) is connected)."""
-    g._check_vertex(source)
     dist = [-1] * g.vertex_count
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        for w in g.neighbor_ids(v):
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue.append(w)
+    for depth, layer in enumerate(g.bfs_layers(source)):
+        for v in layer:
+            dist[v] = depth
     return dist
 
 
@@ -62,10 +57,10 @@ def distance(g: DeBruijnGraph, x: int, y: int) -> int:
 
 
 def eccentricity(g: DeBruijnGraph, y: int) -> EccentricityReport:
-    dist = bfs_distances(g, y)
-    ecc = max(dist)
-    witness = dist.index(ecc)
-    return EccentricityReport(vertex=y, eccentricity=ecc, witness=witness)
+    """Depth of the last traversal layer, witnessed by its smallest id."""
+    for ecc, layer in enumerate(g.bfs_layers(y)):
+        pass
+    return EccentricityReport(vertex=y, eccentricity=ecc, witness=min(layer))
 
 
 def eccentricity_table(g: DeBruijnGraph) -> list[EccentricityReport]:
@@ -77,7 +72,7 @@ def radius_diameter(g: DeBruijnGraph) -> tuple[int, int]:
     lo = g.vertex_count
     hi = 0
     for v in range(g.vertex_count):
-        ecc = max(bfs_distances(g, v))
+        ecc = eccentricity(g, v).eccentricity
         lo = min(lo, ecc)
         hi = max(hi, ecc)
     return lo, hi

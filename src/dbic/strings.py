@@ -8,12 +8,17 @@ n but keeps encode/decode and all downstream bitset work cheap.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import InvalidParameters, VertexParseError
 
 # A DBString must fit in one machine word: n * bits_per_symbol(d) <= 64.
 PACKED_BITS = 64
+
+# A symbol of a comma-separated literal; a sign is let through so that a
+# negative symbol is reported as out of range, not as unparsable.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def bits_per_symbol(d: int) -> int:
@@ -65,8 +70,9 @@ class DBString:
         """Parse a vertex literal.
 
         For d <= 10 the form is a contiguous digit string ("0112"); for
-        d > 10 it is comma-separated integers ("10,0,12").  Errors name the
-        offending 1-based position.
+        d > 10 it is comma-separated integers ("10,0,12").  Only the ASCII
+        digits 0-9 count as digits.  Errors name the offending 1-based
+        position.
         """
         if d < 2:
             raise InvalidParameters("alphabet size must satisfy d >= 2", d=d)
@@ -75,7 +81,7 @@ class DBString:
         if d <= 10:
             digits = []
             for i, ch in enumerate(text):
-                if not ch.isdigit():
+                if not "0" <= ch <= "9":
                     raise VertexParseError(text, i + 1, f"{ch!r} is not a digit")
                 value = int(ch)
                 if value >= d:
@@ -85,7 +91,7 @@ class DBString:
         digits = []
         for i, part in enumerate(text.split(",")):
             part = part.strip()
-            if not part or not part.lstrip("-").isdigit():
+            if not _INTEGER.fullmatch(part):
                 raise VertexParseError(text, i + 1, f"{part!r} is not an integer")
             value = int(part)
             if not 0 <= value < d:

@@ -67,6 +67,22 @@ def code_is_valid(balls, vertices, code):
     return len(set(idsets.values())) == len(vertices)
 
 
+def code_report(balls, vertices, code):
+    """Domination failures and colliding pairs of `code`, in vertex order.
+
+    A vertex fails domination when its identifying set is empty; two
+    vertices collide when their identifying sets are equal (empty ones
+    included), listed as (x, y) with x before y in `vertices`.
+    """
+    code = set(code)
+    idsets = [frozenset(balls[v] & code) for v in vertices]
+    failures = [v for v, ident in zip(vertices, idsets) if not ident]
+    collisions = [(vertices[i], vertices[j])
+                  for i, j in combinations(range(len(vertices)), 2)
+                  if idsets[i] == idsets[j]]
+    return failures, collisions
+
+
 def exhaustive_min_code_size(d, n, t):
     """Smallest valid code size by size-ordered subset enumeration.
 

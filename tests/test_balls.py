@@ -47,6 +47,14 @@ class TestBallBfs:
         with pytest.raises(InvalidParameters):
             ball_bfs(DeBruijnGraph(2, 2), 0, -1)
 
+    @pytest.mark.parametrize("d,n,t", [(2, 4, 1), (2, 5, 2), (3, 3, 1),
+                                       (3, 3, 2), (4, 2, 1), (2, 8, 7)])
+    def test_matches_string_oracle(self, d, n, t):
+        g = DeBruijnGraph(d, n)
+        for v in range(g.vertex_count):
+            assert names(g, ball_bfs(g, v, t)) == \
+                ball_strings(g.vertex_string(v), d, t)
+
     def test_all_balls_indexed_by_vertex(self):
         g = DeBruijnGraph(2, 3)
         balls = all_balls(g, 1)

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import dbic
 from dbic.cli import main
 from dbic.schemas import (BALL_OUTPUT_SCHEMA, CHECK_OUTPUT_SCHEMA,
                           CODE_FILE_SCHEMA, CODE_REPORT_SCHEMA,
@@ -97,6 +102,24 @@ class TestCheckCommand:
         assert code == 1
         assert payload["twin"] == {"x": "01", "y": "10"}
         jsonschema.validate(payload, CHECK_OUTPUT_SCHEMA)
+
+    def test_largest_binary_cell_under_default_cap(self):
+        """check 2 19 1 (524,288 vertices, whose table of all balls would
+        take 32 GiB) in a child process that reports its own peak RSS."""
+        child = ("import resource, sys\n"
+                 "from dbic.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+                 " file=sys.stderr)\n"
+                 "sys.exit(code)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(dbic.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "check", "2", "19", "1"],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["identifiable"] is True
+        peak_kib = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
+        assert peak_kib < 2 ** 20
 
 
 class TestCodeCommand:
@@ -236,3 +259,64 @@ class TestOutputDeterminism:
         _, first = run(capsys, *argv)
         _, second = run(capsys, *argv)
         assert first == second
+
+
+class TestInputBoundary:
+    """Malformed input exits 2 with a one-line message, never a traceback."""
+
+    @staticmethod
+    def rejected(capsys, *argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        return code == 2 and err.startswith("error: ") \
+            and "Traceback" not in err
+
+    def test_non_ascii_digit_in_vertex(self, capsys):
+        assert self.rejected(capsys, "ball", "2", "3", "1", "0²1")
+        assert self.rejected(capsys, "ball", "11", "2", "1", "1,²")
+        assert self.rejected(capsys, "ball", "11", "2", "1", "1,--1")
+
+    def test_verify_missing_or_unreadable_file(self, capsys, tmp_path):
+        assert self.rejected(capsys, "code", "2", "3", "1",
+                             "--verify", str(tmp_path / "absent.json"))
+        assert self.rejected(capsys, "code", "2", "3", "1",
+                             "--verify", str(tmp_path))
+
+    def test_verify_non_json(self, capsys, tmp_path):
+        code_file = tmp_path / "code.json"
+        code_file.write_text("{not json")
+        assert self.rejected(capsys, "code", "2", "3", "1",
+                             "--verify", str(code_file))
+        code_file.write_bytes(b"\xff\xfe\x00")
+        assert self.rejected(capsys, "code", "2", "3", "1",
+                             "--verify", str(code_file))
+
+    @pytest.mark.parametrize("n,payload", [
+        ("3", {"d": 2, "n": 3, "t": 1}),
+        ("3", {"d": 2, "n": 3, "t": 1, "code": "011"}),
+        # a string of one-symbol vertices must not pass as a list of them
+        ("1", {"d": 2, "n": 1, "t": 1, "code": "01"}),
+        ("3", {"d": 2, "n": 3, "t": 1, "code": [1, 2]}),
+        ("3", ["011"]),
+    ])
+    def test_verify_malformed_code(self, capsys, tmp_path, n, payload):
+        code_file = tmp_path / "code.json"
+        code_file.write_text(json.dumps(payload))
+        assert self.rejected(capsys, "code", "2", n, "1",
+                             "--verify", str(code_file))
+
+    def test_dot_to_unwritable_path(self, capsys, tmp_path):
+        assert self.rejected(capsys, "graph", "2", "3",
+                             "--dot", str(tmp_path / "missing" / "out.dot"))
+
+    def test_negative_budget(self, capsys):
+        assert self.rejected(capsys, "code", "2", "3", "1", "--budget", "-5")
+        assert self.rejected(capsys, "sweep", "--d", "2", "--n", "3",
+                             "--t", "1", "--budget", "-1")
+
+    def test_vertex_cap_below_one(self, capsys, monkeypatch):
+        assert self.rejected(capsys, "graph", "2", "3", "--max-vertices", "0")
+        assert self.rejected(capsys, "sweep", "--d", "2", "--n", "3",
+                             "--t", "1", "--max-vertices", "-1")
+        monkeypatch.setenv("DBIC_MAX_VERTICES", "0")
+        assert self.rejected(capsys, "graph", "2", "3")

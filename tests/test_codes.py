@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,9 +12,25 @@ from dbic.graph import DeBruijnGraph
 from dbic.strings import DBString, encode
 from dbic.vertexset import mask_of, popcount, to_ids
 
-from oracles import twin_pairs
+from oracles import all_strings, ball_strings, code_report, twin_pairs
 
 PAPER_CODE_B23 = ["001", "010", "011", "101"]
+
+# (d, n, t) cells checked against the string oracles; B(2,8) at t=7 has
+# 12,094 twin pairs, so grouping and pair order are exercised at scale.
+ORACLE_GRID = [(2, 4, 1), (2, 5, 2), (3, 3, 1), (3, 3, 2), (4, 2, 1),
+               (2, 8, 7)]
+TWIN_HEAVY = (2, 8, 7)
+
+
+def peak_bytes(fn, *args):
+    """Peak traced Python allocation while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def code_mask(strings, g):
@@ -45,6 +62,15 @@ class TestFindTwins:
                 got = [(g.vertex_string(p.x), g.vertex_string(p.y))
                        for p in find_twins(g, t)]
                 assert got == twin_pairs(d, n, t), (d, n, t)
+
+    @pytest.mark.parametrize("d,n,t", ORACLE_GRID)
+    def test_grid_matches_oracle_in_order(self, d, n, t):
+        g = DeBruijnGraph(d, n)
+        got = [(g.vertex_string(p.x), g.vertex_string(p.y))
+               for p in find_twins(g, t)]
+        assert got == twin_pairs(d, n, t)
+        if (d, n, t) == TWIN_HEAVY:
+            assert len(got) == 12094
 
 
 class TestIsIdentifiable:
@@ -103,6 +129,25 @@ class TestVerifyCode:
         for _ in range(20):
             extra = mask_of(rng.sample(range(16), rng.randint(0, 4)))
             assert verify_code(g, base | extra, 1).valid
+
+    @pytest.mark.parametrize("d,n,t", ORACLE_GRID)
+    def test_random_codes_match_oracle(self, d, n, t):
+        g = DeBruijnGraph(d, n)
+        words = all_strings(d, n)
+        balls = {w: ball_strings(w, d, t) for w in words}
+        rng = random.Random(d * 100 + n * 10 + t)
+        sizes = [0, 1, g.vertex_count // 8, g.vertex_count // 2,
+                 g.vertex_count]
+        for size in sizes + [rng.randint(0, g.vertex_count) for _ in range(3)]:
+            chosen = sorted(rng.sample(words, size))
+            report = verify_code(g, code_mask(chosen, g), t)
+            failures, collisions = code_report(balls, words, chosen)
+            assert [g.vertex_string(v)
+                    for v in report.domination_failures] == failures
+            assert [(g.vertex_string(x), g.vertex_string(y))
+                    for x, y in report.collisions] == collisions
+            assert report.valid == (not failures and not collisions)
+            assert report.code_size == size
 
     def test_report_serialization(self):
         g = DeBruijnGraph(2, 3)
@@ -192,3 +237,19 @@ class TestMinCode:
         g = DeBruijnGraph(2, 3)
         strings = code_strings(g, code_mask(PAPER_CODE_B23, g))
         assert strings == sorted(strings)
+
+
+class TestMemoryBound:
+    """Twin detection and verification hold per-vertex keys, never the
+    table of all balls (16,384 balls of 2 KiB each in B(2,14))."""
+
+    LIMIT = 8 * 2 ** 20
+
+    def test_find_twins_peak(self):
+        g = DeBruijnGraph(2, 14)
+        assert peak_bytes(find_twins, g, 1) < self.LIMIT
+
+    def test_verify_code_peak(self):
+        g = DeBruijnGraph(2, 14)
+        everything = (1 << g.vertex_count) - 1
+        assert peak_bytes(verify_code, g, everything, 1) < self.LIMIT

@@ -5,7 +5,8 @@ from dbic.graph import DeBruijnGraph, export_dot
 from dbic.strings import DBString, encode
 from dbic.vertexset import mask_of, to_ids
 
-from oracles import all_strings, neighbor_strings, undirected_edge_set
+from oracles import (all_strings, distances_from, neighbor_strings,
+                     undirected_edge_set)
 
 
 def vid(text, d):
@@ -84,6 +85,33 @@ class TestNeighbors:
             got = {g.vertex_string(u) for u in g.neighbor_ids(v)}
             assert got == neighbor_strings(word, d)
             assert len(got) <= 2 * d
+
+
+class TestBfsLayers:
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (3, 3), (4, 2)])
+    def test_layers_are_exact_distance_classes(self, d, n):
+        g = DeBruijnGraph(d, n)
+        for v in range(g.vertex_count):
+            oracle = distances_from(g.vertex_string(v), d)
+            layers = list(g.bfs_layers(v))
+            assert layers[0] == [v]
+            for depth, layer in enumerate(layers):
+                assert len(layer) == len(set(layer))
+                assert {g.vertex_string(w) for w in layer} == \
+                    {w for w, k in oracle.items() if k == depth}
+
+    def test_radius_stops_the_traversal(self):
+        g = DeBruijnGraph(2, 6)
+        full = list(g.bfs_layers(5))
+        for radius in range(len(full) + 2):
+            assert list(g.bfs_layers(5, radius)) == full[:radius + 1]
+
+    def test_rejects_bad_radius_and_vertex(self):
+        g = DeBruijnGraph(2, 3)
+        with pytest.raises(InvalidParameters):
+            next(g.bfs_layers(0, -1))
+        with pytest.raises(InvalidParameters):
+            next(g.bfs_layers(8))
 
 
 class TestEdges:

@@ -29,14 +29,20 @@ class TestDistance:
         g = DeBruijnGraph(3, 2)
         assert distance(g, 5, 5) == 0
 
-    @pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (2, 8)])
     def test_matches_string_oracle(self, d, n):
         g = DeBruijnGraph(d, n)
+        # distance() stops early, so it is checked separately, from at
+        # most 16 sources to keep B(2,8) quick
+        step = max(1, g.vertex_count // 16)
         for v in range(g.vertex_count):
             dist = bfs_distances(g, v)
             oracle = distances_from(g.vertex_string(v), d)
             for w in range(g.vertex_count):
                 assert dist[w] == oracle[g.vertex_string(w)]
+            if v % step == 0:
+                for w in range(g.vertex_count):
+                    assert distance(g, v, w) == oracle[g.vertex_string(w)]
 
     def test_metric_axioms_on_samples(self):
         g = DeBruijnGraph(3, 3)
