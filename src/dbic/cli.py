@@ -390,12 +390,6 @@ def main(argv=None) -> int:
     except NotApplicable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
-    except InfeasibleNoCode as exc:
-        print(json.dumps({
-            "error": "infeasible_no_code",
-            "twins": [[p.x, p.y] for p in exc.twins[:10]],
-        }))
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

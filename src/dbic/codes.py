@@ -13,12 +13,13 @@ quadratic table of every ball as a d^n-bit set.
 Both search routines run on the hitting-set reformulation: S is valid iff
 it intersects every ball and every symmetric difference of balls of
 non-twin pairs within distance 2t; pairs farther apart are separated for
-free by their own centers.  `min_code` builds these constraints once and
-seeds its incumbent with the greedy code over the same list.
+free by their own centers.  `min_code` builds these constraints once, sorts
+their targets once by size and seeds its incumbent with greedy over them.
 """
 
 from __future__ import annotations
 
+import heapq
 from array import array
 from dataclasses import dataclass
 
@@ -184,53 +185,61 @@ def build_constraints(g: DeBruijnGraph, t: int) -> list[SeparationConstraint]:
 
 
 def _greedy(targets: list[VertexSet], vertex_count: int) -> VertexSet:
-    """Repeatedly take the vertex hitting the most unhit targets; ties go
-    to the smallest id."""
-    unsatisfied = targets
+    """Repeatedly take the vertex hitting the most unhit targets, the
+    smallest id among ties.  `cover[v]` is the bitset of indices of the
+    targets v hits; heap keys (-score, v) start below every score, and as
+    scores only fall, the top is rescored until its key is fresh and wins."""
+    cover = [bytearray(len(targets) // 8 + 1) for _ in range(vertex_count)]
+    for i, target in enumerate(targets):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for v in bits(target):
+            cover[v][byte] |= bit
+    for v, row in enumerate(cover):  # in place: one row in both forms at once
+        cover[v] = int.from_bytes(row, "little")
+    heap = [(-len(targets), v) for v in range(vertex_count)]
+    unsatisfied = (1 << len(targets)) - 1
     chosen = 0
     while unsatisfied:
-        counts = [0] * vertex_count
-        for target in unsatisfied:
-            for v in bits(target):
-                counts[v] += 1
-        best = max(range(vertex_count), key=lambda v: (counts[v], -v))
-        chosen |= 1 << best
-        unsatisfied = [m for m in unsatisfied if not (m >> best) & 1]
+        key, v = heap[0]
+        fresh = -(cover[v] & unsatisfied).bit_count()
+        if fresh != key:
+            heapq.heapreplace(heap, (fresh, v))
+        else:
+            chosen |= 1 << v
+            unsatisfied &= ~cover[v]
     return chosen
 
 
 def greedy_code(g: DeBruijnGraph, t: int) -> VertexSet:
-    """A valid code by repeatedly taking the vertex hitting the most
-    unsatisfied constraints; ties broken by smallest id."""
+    """Greedy valid code: most unhit constraints first, smallest id on ties."""
     return _greedy([c.target for c in build_constraints(g, t)], g.vertex_count)
 
 
 def _packing_bound(targets: list[VertexSet]) -> int:
-    """Count of pairwise-disjoint targets: each needs its own code vertex."""
+    """Lower bound: disjoint targets taken in list order, smallest first."""
     used = 0
     count = 0
-    for m in sorted(targets, key=popcount):
+    for m in targets:
         if not m & used:
             used |= m
             count += 1
     return count
 
 
-def min_code(g: DeBruijnGraph, t: int, node_budget: int | None = None,
-             exact_cap: int = DEFAULT_EXACT_CAP) -> MinCodeResult:
+def min_code(g: DeBruijnGraph, t: int,
+             node_budget: int | None = None) -> MinCodeResult:
     """Smallest code by branch and bound over the hitting-set constraints.
 
-    The greedy code over the same constraints seeds the incumbent; the
-    lower bound is a maximal family of pairwise-disjoint unsatisfied
-    targets; branching picks the unsatisfied constraint with the smallest
-    target and tries each of its vertices in ascending order.  With no
-    explicit budget, graphs up to `exact_cap` vertices are solved to proven
-    optimality and larger ones get a default node budget; `optimal` reports
-    whether the search completed.
+    Targets are sorted by size once, stably; each node's unsatisfied list
+    is filtered from its parent's, so it stays in that order.  Greedy seeds
+    the incumbent; the lower bound is a maximal family of pairwise-disjoint
+    unsatisfied targets, smallest first; the branch tries each vertex of
+    the first (smallest) unsatisfied target in ascending order.  With no
+    budget, graphs above `DEFAULT_EXACT_CAP` vertices get
+    `DEFAULT_NODE_BUDGET`; `optimal` reports whether the search completed.
     """
-    constraints = build_constraints(g, t)
-    targets = [c.target for c in constraints]
-    if node_budget is None and g.vertex_count > exact_cap:
+    targets = [c.target for c in build_constraints(g, t)]
+    if node_budget is None and g.vertex_count > DEFAULT_EXACT_CAP:
         node_budget = DEFAULT_NODE_BUDGET
 
     best = _greedy(targets, g.vertex_count)
@@ -240,8 +249,6 @@ def min_code(g: DeBruijnGraph, t: int, node_budget: int | None = None,
 
     def dfs(chosen: int, size: int, unsatisfied: list[VertexSet]) -> None:
         nonlocal best, best_size, nodes, aborted
-        if aborted:
-            return
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             aborted = True
@@ -252,8 +259,7 @@ def min_code(g: DeBruijnGraph, t: int, node_budget: int | None = None,
             return
         if size + _packing_bound(unsatisfied) >= best_size:
             return
-        branch = min(unsatisfied, key=popcount)
-        for v in bits(branch):
+        for v in bits(unsatisfied[0]):
             if size + 1 >= best_size:
                 break
             dfs(chosen | 1 << v, size + 1,
@@ -261,7 +267,7 @@ def min_code(g: DeBruijnGraph, t: int, node_budget: int | None = None,
             if aborted:
                 return
 
-    dfs(0, 0, targets)
+    dfs(0, 0, sorted(targets, key=popcount))
     return MinCodeResult(code=best, size=best_size,
                          optimal=not aborted, nodes=nodes)
 

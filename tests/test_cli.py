@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dbic
 from dbic.cli import main
@@ -320,3 +324,59 @@ class TestInputBoundary:
                              "--t", "1", "--max-vertices", "-1")
         monkeypatch.setenv("DBIC_MAX_VERTICES", "0")
         assert self.rejected(capsys, "graph", "2", "3")
+
+
+# Argument atoms for the fuzz test: integers around every parameter's lower
+# bound, weighted towards the graphs under the fuzz vertex cap, and vertex
+# literals over ASCII and non-ASCII digits, commas, signs and spaces.
+INTS = st.one_of(st.integers(-2, 12), st.integers(1, 4)).map(str)
+VERTEX = st.one_of(st.text(alphabet="0123", min_size=1, max_size=5),
+                   st.text(alphabet="01²٣１,-+ ", max_size=5),
+                   st.text(alphabet="0123456789,-+ ²٣１", max_size=8))
+RANGE = st.one_of(
+    INTS,
+    st.tuples(st.integers(-2, 12), st.integers(-1, 3)).map(
+        lambda p: f"{p[0]}..{p[0] + p[1]}"),
+    st.tuples(INTS, INTS).map(",".join),
+)
+BUDGET = st.integers(-2, 500).map(lambda b: ["--budget", str(b)])
+MODE = st.lists(st.sampled_from(["--exact", "--greedy"]), max_size=2,
+                unique=True)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+ARGV = st.one_of(
+    st.tuples(st.just(["graph"]), INTS, INTS, _flag("--highlight", VERTEX)),
+    st.tuples(st.just(["ball"]), INTS, INTS, INTS, VERTEX,
+              _flag("--method", st.sampled_from(["bfs", "closed", "both"]))),
+    st.tuples(st.just(["check"]), INTS, INTS, INTS),
+    st.tuples(st.just(["code"]), INTS, INTS, INTS, MODE, BUDGET),
+    st.tuples(st.just(["ecc"]), INTS, INTS,
+              st.one_of(st.just([]), st.just(["--all"]),
+                        VERTEX.map(lambda v: ["--vertex", v]))),
+    st.tuples(st.just(["sweep"]), RANGE.map(lambda r: ["--d", r]),
+              RANGE.map(lambda r: ["--n", r]),
+              st.one_of(st.just("auto"), RANGE).map(lambda r: ["--t", r]),
+              _flag("--exact-below", INTS), BUDGET),
+).map(lambda parts: [a for part in parts
+                     for a in (part if isinstance(part, list) else [part])])
+
+
+class TestCliFuzz:
+    """Any argv built from these atoms ends in a contract exit code, never
+    an exception; argparse's own rejections count as exit 2."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(argv=ARGV, pretty=st.booleans())
+    def test_exit_code_contract(self, argv, pretty):
+        argv = argv + ["--max-vertices", "32"] + (["--pretty"] if pretty else [])
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in {0, 1, 2, 3, 4}, (argv, sink.getvalue())

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -35,6 +36,12 @@ def peak_bytes(fn, *args):
 
 def code_mask(strings, g):
     return mask_of(encode(DBString.parse(s, g.d)) for s in strings)
+
+
+def code_digest(code):
+    """Short exact fingerprint of a code bitmask."""
+    raw = code.to_bytes(-(-code.bit_length() // 8), "little")
+    return hashlib.sha256(raw).hexdigest()[:16]
 
 
 class TestFindTwins:
@@ -237,6 +244,62 @@ class TestMinCode:
         g = DeBruijnGraph(2, 3)
         strings = code_strings(g, code_mask(PAPER_CODE_B23, g))
         assert strings == sorted(strings)
+
+
+class TestPinnedSearch:
+    """Solver outputs pinned to recorded values: equal codes, sizes,
+    optimality flags and node counts mean the lower bound, the branching
+    order and greedy's tie-break are unchanged."""
+
+    # (d, n, t): (code, size, optimal, nodes), solved to optimality
+    EXACT = {
+        (2, 3, 1): (["001", "010", "011", "101"], 4, True, 7),
+        (2, 4, 1): (["0001", "0010", "0101", "0111", "1011", "1100"],
+                    6, True, 144),
+        (2, 5, 1): (["00010", "00011", "00101", "00111", "01011", "01101",
+                     "01111", "10000", "10100", "11000", "11010", "11100"],
+                    12, True, 119846),
+        (2, 5, 2): (["00101", "00110", "00111", "01000", "01011", "01100",
+                     "10100", "11010"], 8, True, 39663),
+        (3, 2, 1): (["01", "02", "10", "20"], 4, True, 32),
+        (3, 3, 1): (["001", "002", "011", "012", "022", "112", "120", "210",
+                     "221"], 9, True, 40430),
+        (3, 3, 2): (["001", "002", "010", "011", "020", "022", "100", "101",
+                     "102", "112", "120", "212"], 12, True, 521),
+        (4, 2, 1): (["01", "02", "03", "10", "20"], 5, True, 767),
+    }
+    # (d, n, t, node budget): (code digest, size, optimal, nodes)
+    BUDGETED = {
+        (2, 8, 1, 2000): ("e032c063904e38d0", 101, False, 2001),
+        (3, 4, 2, 2000): ("6aaf7acdb48316b4", 11, False, 2001),
+        (4, 3, 1, 3000): ("a18d28f20337eb30", 16, False, 3001),
+    }
+    # (d, n, t): (code digest, size)
+    GREEDY = {
+        (3, 5, 1): ("25c0a5f9316c4c38", 74),
+        (2, 10, 1): ("0d3bc479e5febfd0", 407),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(EXACT))
+    def test_exact(self, cell):
+        d, n, t = cell
+        g = DeBruijnGraph(d, n)
+        r = min_code(g, t)
+        assert (code_strings(g, r.code), r.size, r.optimal, r.nodes) \
+            == self.EXACT[cell]
+
+    @pytest.mark.parametrize("cell", sorted(BUDGETED))
+    def test_budgeted(self, cell):
+        d, n, t, budget = cell
+        r = min_code(DeBruijnGraph(d, n), t, node_budget=budget)
+        assert (code_digest(r.code), r.size, r.optimal, r.nodes) \
+            == self.BUDGETED[cell]
+
+    @pytest.mark.parametrize("cell", sorted(GREEDY))
+    def test_greedy(self, cell):
+        d, n, t = cell
+        code = greedy_code(DeBruijnGraph(d, n), t)
+        assert (code_digest(code), popcount(code)) == self.GREEDY[cell]
 
 
 class TestMemoryBound:
