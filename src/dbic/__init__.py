@@ -5,9 +5,9 @@ from .balls import (PathParams, Pattern, PrefixBoundBreakdown, all_balls,
                     ball_bfs, ball_closed_form, enumerate_path_params,
                     pattern_for, prefix_bound, prefix_bound_corrected,
                     prefix_margin, prefix_set)
-from .codes import (CodeReport, MinCodeResult, SeparationConstraint, TwinPair,
-                    build_constraints, code_strings, find_twins, greedy_code,
-                    is_identifiable, min_code, verify_code)
+from .codes import (CodeReport, MinCodeResult, TwinPair, build_constraints,
+                    code_strings, find_twins, greedy_code, is_identifiable,
+                    min_code, verify_code)
 from .errors import (CodeVertexOutOfRange, DbicError, InfeasibleNoCode,
                      InvalidParameters, NotApplicable, VertexParseError)
 from .graph import DeBruijnGraph, export_dot
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DBString", "DeBruijnGraph", "EccentricityReport", "CodeReport",
     "MinCodeResult", "PathParams", "Pattern", "PrefixBoundBreakdown",
-    "SeparationConstraint", "TwinPair", "VertexSet",
+    "TwinPair", "VertexSet",
     "all_balls", "ball_bfs", "ball_closed_form", "bfs_distances", "bits",
     "build_constraints", "code_strings", "construct_antipodal", "decode",
     "distance", "eccentricity", "eccentricity_table", "encode",

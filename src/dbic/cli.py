@@ -224,11 +224,13 @@ def cmd_code(args) -> int:
 
 def cmd_ecc(args) -> int:
     g = _graph(args)
+    eccs = []  # filled by the CSV table, so the summary needs no second pass
     if args.csv:
         with _open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["d", "n", "vertex", "eccentricity", "witness"])
             for rep in metrics.eccentricity_table(g):
+                eccs.append(rep.eccentricity)
                 writer.writerow([g.d, g.n, g.vertex_string(rep.vertex),
                                  rep.eccentricity, g.vertex_string(rep.witness)])
     if args.vertex is not None:
@@ -239,7 +241,8 @@ def cmd_ecc(args) -> int:
             "witness": g.vertex_string(rep.witness),
         }, args.pretty)
     else:
-        radius, diameter = metrics.radius_diameter(g)
+        radius, diameter = ((min(eccs), max(eccs)) if eccs
+                            else metrics.radius_diameter(g))
         _emit({"d": g.d, "n": g.n, "radius": radius, "diameter": diameter},
               args.pretty)
     return EXIT_OK

@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 from .balls import all_balls
 from .errors import CodeVertexOutOfRange, InfeasibleNoCode, InvalidParameters
@@ -30,6 +31,9 @@ from .vertexset import VertexSet, bits, popcount
 
 DEFAULT_EXACT_CAP = 64
 DEFAULT_NODE_BUDGET = 200_000
+# Code search refuses an instance whose target list could outgrow this many
+# bytes; greedy's cover index takes about as much again.
+MAX_TARGET_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -59,19 +63,6 @@ class CodeReport:
             "collisions": [[g.vertex_string(x), g.vertex_string(y)]
                            for x, y in self.collisions],
         }
-
-
-@dataclass(frozen=True)
-class SeparationConstraint:
-    """A vertex set the code must intersect.
-
-    kind "domination": target is B_t(x) for vertices (x,).
-    kind "separation": target is B_t(x) ^ B_t(y) for vertices (x, y).
-    """
-
-    kind: str
-    vertices: tuple[int, ...]
-    target: VertexSet
 
 
 @dataclass(frozen=True)
@@ -155,33 +146,32 @@ def verify_code(g: DeBruijnGraph, code: VertexSet, t: int) -> CodeReport:
     )
 
 
-def build_constraints(g: DeBruijnGraph, t: int) -> list[SeparationConstraint]:
-    """Hitting-set constraints whose solutions are exactly the valid codes.
+def build_constraints(g: DeBruijnGraph, t: int) -> list[VertexSet]:
+    """Hitting-set targets whose hitting sets are exactly the valid codes.
 
-    One domination constraint per vertex, one separation constraint per
-    pair at distance <= 2t (farther pairs have disjoint balls, so any
-    dominating set separates them already).  Constraints with identical
-    targets are merged, keeping the first.
+    The ball of every vertex (domination) comes first, then B_t(x) ^ B_t(y)
+    for each pair x < y at distance <= 2t (separation; farther pairs have
+    disjoint balls, so any dominating set separates them already), x
+    ascending, then y.  A target equal to an earlier one is dropped.
     """
     _check_t(t)
     twins = find_twins(g, t)
     if twins:
         raise InfeasibleNoCode(twins)
+    # |B_r| <= sum_{k<=r} (2d)^k and no distance exceeds n, so there are at
+    # most N + N(m-1)/2 targets of N bits each.
+    count = g.vertex_count
+    m = min(count, sum((2 * g.d) ** k for k in range(min(2 * t, g.n) + 1)))
+    size = count * (count + count * (m - 1) // 2) // 8
+    if size > MAX_TARGET_BYTES:
+        raise InvalidParameters(
+            f"code search could need {size / 2 ** 30:.1f} GiB for its"
+            f" targets, over the {MAX_TARGET_BYTES // 2 ** 30} GiB cap",
+            d=g.d, n=g.n, t=t)
     balls = all_balls(g, t)
-    out = []
-    seen_targets = set()
-    for v in range(g.vertex_count):
-        target = balls[v]
-        if target not in seen_targets:
-            seen_targets.add(target)
-            out.append(SeparationConstraint("domination", (v,), target))
-    for x in range(g.vertex_count):
-        for y in sorted(w for w in _ball_ids(g, x, 2 * t) if w > x):
-            target = balls[x] ^ balls[y]
-            if target not in seen_targets:
-                seen_targets.add(target)
-                out.append(SeparationConstraint("separation", (x, y), target))
-    return out
+    separations = (balls[x] ^ balls[y] for x in range(count)
+                   for y in sorted(w for w in _ball_ids(g, x, 2 * t) if w > x))
+    return list(dict.fromkeys(chain(balls, separations)))
 
 
 def _greedy(targets: list[VertexSet], vertex_count: int) -> VertexSet:
@@ -212,7 +202,7 @@ def _greedy(targets: list[VertexSet], vertex_count: int) -> VertexSet:
 
 def greedy_code(g: DeBruijnGraph, t: int) -> VertexSet:
     """Greedy valid code: most unhit constraints first, smallest id on ties."""
-    return _greedy([c.target for c in build_constraints(g, t)], g.vertex_count)
+    return _greedy(build_constraints(g, t), g.vertex_count)
 
 
 def _packing_bound(targets: list[VertexSet]) -> int:
@@ -238,7 +228,7 @@ def min_code(g: DeBruijnGraph, t: int,
     budget, graphs above `DEFAULT_EXACT_CAP` vertices get
     `DEFAULT_NODE_BUDGET`; `optimal` reports whether the search completed.
     """
-    targets = [c.target for c in build_constraints(g, t)]
+    targets = build_constraints(g, t)
     if node_budget is None and g.vertex_count > DEFAULT_EXACT_CAP:
         node_budget = DEFAULT_NODE_BUDGET
 

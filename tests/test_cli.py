@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dbic
+from dbic import metrics
 from dbic.cli import main
 from dbic.schemas import (BALL_OUTPUT_SCHEMA, CHECK_OUTPUT_SCHEMA,
                           CODE_FILE_SCHEMA, CODE_REPORT_SCHEMA,
@@ -127,6 +128,23 @@ class TestCheckCommand:
 
 
 class TestCodeCommand:
+    @pytest.mark.parametrize("mode", ["--greedy", "--exact"])
+    def test_target_list_cap(self, mode):
+        """code 2 16 1 is under the vertex cap, but its target list alone
+        would take gigabytes: it must exit 2 inside a 1 GiB address space
+        rather than try."""
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+                 "from dbic.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(dbic.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "code", "2", "16", "1", mode],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stdout == ""
+
     def test_exact_minimum(self, capsys):
         code, payload = run_json(capsys, "code", "2", "3", "1", "--exact")
         assert code == 0
@@ -202,6 +220,20 @@ class TestEccCommand:
         assert rows[0] == ["d", "n", "vertex", "eccentricity", "witness"]
         assert rows[1] == ["2", "3", "000", "3", "101"]
         assert len(rows) == 9
+
+    def test_csv_and_summary_share_one_pass(self, capsys, tmp_path,
+                                            monkeypatch):
+        calls = []
+        single = metrics.eccentricity
+        monkeypatch.setattr(metrics, "eccentricity",
+                            lambda g, v: calls.append(v) or single(g, v))
+        target = tmp_path / "ecc.csv"
+        code, payload = run_json(capsys, "ecc", "3", "4", "--all",
+                                 "--csv", str(target))
+        assert code == 0
+        assert (payload["radius"], payload["diameter"]) == (4, 4)
+        assert len(calls) == 81
+        assert len(list(csv.reader(target.open()))) == 82
 
 
 class TestSweepCommand:

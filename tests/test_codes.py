@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from dbic.balls import all_balls
 from dbic.codes import (DEFAULT_EXACT_CAP, CodeReport, TwinPair,
                         build_constraints, code_strings, find_twins,
                         greedy_code, is_identifiable, min_code, verify_code)
@@ -166,12 +167,12 @@ class TestVerifyCode:
 
 class TestBuildConstraints:
     def test_counts_for_figure_graph(self):
-        cons = build_constraints(DeBruijnGraph(2, 3), 1)
-        dominations = [c for c in cons if c.kind == "domination"]
-        separations = [c for c in cons if c.kind == "separation"]
-        assert len(dominations) == 8
-        # exactly the 25 vertex pairs within distance 2 need explicit separation
-        assert len(separations) == 25
+        g = DeBruijnGraph(2, 3)
+        targets = build_constraints(g, 1)
+        # the 8 balls come first; exactly the 25 vertex pairs within
+        # distance 2 need explicit separation
+        assert targets[:8] == all_balls(g, 1)
+        assert len(targets) == 8 + 25
 
     def test_infeasible_when_twins_exist(self):
         with pytest.raises(InfeasibleNoCode) as err:
@@ -179,10 +180,36 @@ class TestBuildConstraints:
         assert err.value.twins == [TwinPair(x=1, y=2, t=1)]
 
     def test_targets_nonempty_and_deduplicated(self):
-        cons = build_constraints(DeBruijnGraph(3, 2), 1)
-        targets = [c.target for c in cons]
+        targets = build_constraints(DeBruijnGraph(3, 2), 1)
         assert all(targets)
         assert len(targets) == len(set(targets))
+
+
+class TestPinnedTargets:
+    """The constraint list pinned to values recorded while each target was
+    still wrapped in a record: equal digests of `repr` mean the same
+    targets, the same deduplication and the same order."""
+
+    # (d, n, t): (number of targets, sha256 of repr(targets))
+    PINNED = {
+        (2, 3, 1): (33, "c6c4e02528e6e8b5542132e14d51c56f"
+                        "a85d9a08af41e57815e27ef550aedfec"),
+        (3, 3, 2): (378, "fab95f40fd466b87abf71c1223e617dc"
+                         "6ac07aa57c9b8ab76ab77fa62c395860"),
+        (4, 3, 1): (1186, "c251d47cda8c519e7412ff18dbfbb0cd"
+                          "6b9268a00c77a387f05fe6e05b9691a4"),
+        (2, 8, 1): (2015, "c247a4710042cbbbde910bdd70d9bc7d"
+                          "5dccd3193edaa3a6536a1446ba0d4e09"),
+        (3, 4, 2): (3321, "32317086e56b2bc427c0b060b0796e64"
+                          "75435f9fc55b62e1ab974495060cb7bf"),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(PINNED))
+    def test_targets(self, cell):
+        d, n, t = cell
+        targets = build_constraints(DeBruijnGraph(d, n), t)
+        digest = hashlib.sha256(repr(targets).encode()).hexdigest()
+        assert (len(targets), digest) == self.PINNED[cell]
 
 
 class TestGreedyCode:
