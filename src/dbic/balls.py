@@ -23,8 +23,10 @@ because B_t(x) is a set.
 
 `all_balls` holds one d^n-bit ball per vertex, so it grows quadratically
 in the vertex count; only the hitting-set constraint builder, which needs
-every ball as a bitset anyway, uses it.  Twin detection and code
-verification key each vertex by its ball's id list instead (see codes).
+every ball as a bitset anyway, uses it.  It runs the graph's all-sources
+kernel (`DeBruijnGraph.ball_rows`) over every column at once.  Twin
+detection and code verification stripe that kernel, or key each vertex by
+its ball's id list (see codes).
 """
 
 from __future__ import annotations
@@ -179,8 +181,11 @@ def ball_closed_form(x: DBString, t: int) -> VertexSet:
 
 
 def all_balls(g: DeBruijnGraph, t: int) -> list[VertexSet]:
-    """B_t(v) for every vertex v, indexed by id."""
-    return [ball_bfs(g, v, t) for v in range(g.vertex_count)]
+    """B_t(v) for every vertex v, indexed by id, from the all-sources
+    radius recurrence of `DeBruijnGraph.ball_rows`."""
+    for rows in g.ball_rows(0, g.vertex_count, t):
+        pass
+    return rows
 
 
 @dataclass(frozen=True)

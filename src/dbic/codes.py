@@ -4,11 +4,18 @@ A code S works iff (1) every ball B_t(x) meets S and (2) no two identifying
 sets B_t(x) & S coincide.  Twins (vertices with identical balls) are the
 sole obstruction to existence.
 
-Twin detection and code verification work one vertex at a time on the
-graph's traversal kernel (`DeBruijnGraph.bfs_layers`): each vertex is keyed
-by the sorted ids of B_t(v), or of B_t(v) & S, packed into bytes, and equal
-keys are grouped by hashing.  Memory is the sum of those keys, never the
-quadratic table of every ball as a d^n-bit set.
+Twin detection and code verification give every vertex an exact class
+label for B_t(v), or for B_t(v) & S, on whichever of the graph's two
+kernels keeps less per vertex.  A ball holds at most m = min(N, sum over
+k <= t of (2d)^k) ids, so an N-bit row costs no more than m packed int64
+ids when N <= 64m.  Then `DeBruijnGraph.ball_rows` runs the radius
+recurrence for every vertex at once, over stripes of columns of at most
+`ROW_STRIPE_BYTES` of rows in all, and each stripe refines the labels by
+hashing the pair (label so far, row).  Otherwise each vertex is keyed by
+the sorted ids of its ball from `DeBruijnGraph.bfs_layers`, packed into
+bytes.  For t >= n every ball is V, since the diameter is n, so there is
+one class and no traversal.  Memory is one stripe of rows or the sum of
+the keys, never the quadratic table of every ball.
 
 Both search routines run on the hitting-set reformulation: S is valid iff
 it intersects every ball and every symmetric difference of balls of
@@ -21,8 +28,10 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
+from typing import Iterator
 
 from .balls import all_balls
 from .errors import CodeVertexOutOfRange, InfeasibleNoCode, InvalidParameters
@@ -34,6 +43,9 @@ DEFAULT_NODE_BUDGET = 200_000
 # Code search refuses an instance whose target list could outgrow this many
 # bytes; greedy's cover index takes about as much again.
 MAX_TARGET_BYTES = 2 ** 30
+# Twin detection and verification on ball rows take the columns in stripes
+# whose rows, one int per vertex, hold about this many bytes in all.
+ROW_STRIPE_BYTES = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -88,56 +100,94 @@ def _key(ids: list[int]) -> bytes:
     return array("q", sorted(ids)).tobytes()
 
 
-def _grouped_pairs(groups: dict[bytes, list[int]]) -> list[tuple[int, int]]:
-    """Every pair x < y of vertices that share a group, in sorted order."""
-    pairs = [(x, y) for members in groups.values()
-             for i, x in enumerate(members) for y in members[i + 1:]]
-    pairs.sort()
-    return pairs
+def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
+             ) -> list[int]:
+    """A label per vertex for B_t(v), or for B_t(v) & code: equal labels
+    iff equal sets, label 0 iff the set is empty, and the other labels
+    numbered from 1 in order of first appearance."""
+    if t >= g.n:  # the diameter is n, so every ball is V
+        return [0 if code == 0 else 1] * g.vertex_count
+    m = min(g.vertex_count, sum((2 * g.d) ** k for k in range(t + 1)))
+    # An N-bit row costs no more than the m packed int64 ids a ball can hold.
+    kernel = _row_classes if g.vertex_count <= 64 * m else _key_classes
+    return kernel(g, t, code)
+
+
+def _key_classes(g: DeBruijnGraph, t: int, code: VertexSet | None
+                 ) -> list[int]:
+    """`_classes` from one breadth-first ball per vertex, keyed by its ids."""
+    balls = (_ball_ids(g, v, t) for v in range(g.vertex_count))
+    if code is not None:
+        member = code.to_bytes(-(-g.vertex_count // 8), "little")
+        balls = ([w for w in ball if member[w >> 3] >> (w & 7) & 1]
+                 for ball in balls)
+    ids = {b"": 0}
+    return [ids.setdefault(_key(ball), len(ids)) for ball in balls]
+
+
+def _row_classes(g: DeBruijnGraph, t: int, code: VertexSet | None
+                 ) -> list[int]:
+    """`_classes` from the rows of every ball, one stripe of columns at a
+    time: each stripe splits the classes by the pair (label, row)."""
+    count = g.vertex_count
+    labels = [0] * count
+    width = max(1, ROW_STRIPE_BYTES * 8 // count)
+    for lo in range(0, count, width):
+        hi = min(count, lo + width)
+        for rows in g.ball_rows(lo, hi, t):
+            pass
+        if code is not None:
+            rows = map((code >> lo & (1 << hi - lo) - 1).__and__, rows)
+        ids = {(0, 0): 0}  # empty so far stays label 0
+        labels = [ids.setdefault((a, row), len(ids))
+                  for a, row in zip(labels, rows)]
+        del rows, ids  # the next stripe's rounds need none of these rows
+    return labels
+
+
+def _pairs(labels: list[int]) -> Iterator[tuple[int, int]]:
+    """Every pair x < y of vertices with equal labels, in sorted order."""
+    sizes = Counter(labels)
+    classes: dict[int, list[int]] = {}
+    for v, a in enumerate(labels):
+        if sizes[a] > 1:
+            classes.setdefault(a, []).append(v)
+    for x, a in enumerate(labels):
+        members = classes.get(a)
+        if members:
+            del members[0]  # x itself; it has len(members) pairs to emit
+            yield from zip(repeat(x), members)
 
 
 def find_twins(g: DeBruijnGraph, t: int) -> list[TwinPair]:
-    """All unordered twin pairs; empty iff the graph is t-identifiable.
-
-    Vertices are grouped by the exact key of their ball's id list, so
-    memory is O(sum of |B_t(v)|), not one d^n-bit ball per vertex, and each
-    comparison is an expected O(1) hash lookup.
-    """
+    """All unordered twin pairs; empty iff the graph is t-identifiable."""
     _check_t(t)
-    groups: dict[bytes, list[int]] = {}
-    for v in range(g.vertex_count):
-        groups.setdefault(_key(_ball_ids(g, v, t)), []).append(v)
-    return [TwinPair(x=x, y=y, t=t) for x, y in _grouped_pairs(groups)]
+    return [TwinPair(x=x, y=y, t=t) for x, y in _pairs(_classes(g, t))]
 
 
 def is_identifiable(g: DeBruijnGraph, t: int) -> tuple[bool, TwinPair | None]:
-    """True iff no twins; on False the lexicographically first pair."""
-    twins = find_twins(g, t)
-    if twins:
-        return False, twins[0]
+    """True iff no twins; on False the lexicographically first pair, the
+    first two members of the class whose first member is smallest."""
+    _check_t(t)
+    first = next(_pairs(_classes(g, t)), None)
+    if first:
+        return False, TwinPair(x=first[0], y=first[1], t=t)
     return True, None
 
 
 def verify_code(g: DeBruijnGraph, code: VertexSet, t: int) -> CodeReport:
     """Check both code conditions exhaustively and report all witnesses.
 
-    Each vertex is keyed by the ids of its identifying set B_t(v) & code,
-    one vertex at a time; vertices with equal keys collide, and those with
-    empty keys also fail domination.
+    Vertices whose identifying sets B_t(v) & code are equal collide, and
+    those with empty sets also fail domination.
     """
     _check_t(t)
     if code >> g.vertex_count:
         bad = next(bits(code >> g.vertex_count)) + g.vertex_count
         raise CodeVertexOutOfRange(bad, g.vertex_count)
-    member = code.to_bytes(-(-g.vertex_count // 8), "little")
-    failures = []
-    groups: dict[bytes, list[int]] = {}
-    for v in range(g.vertex_count):
-        ident = [w for w in _ball_ids(g, v, t) if member[w >> 3] >> (w & 7) & 1]
-        if not ident:
-            failures.append(v)
-        groups.setdefault(_key(ident), []).append(v)
-    collisions = _grouped_pairs(groups)
+    labels = _classes(g, t, code)
+    failures = [v for v, a in enumerate(labels) if a == 0]
+    collisions = list(_pairs(labels))
     return CodeReport(
         valid=not failures and not collisions,
         domination_failures=failures,
@@ -155,9 +205,11 @@ def build_constraints(g: DeBruijnGraph, t: int) -> list[VertexSet]:
     ascending, then y.  A target equal to an earlier one is dropped.
     """
     _check_t(t)
-    twins = find_twins(g, t)
+    labels = _classes(g, t)
+    twins = [TwinPair(x=x, y=y, t=t) for x, y in islice(_pairs(labels), 10)]
     if twins:
-        raise InfeasibleNoCode(twins)
+        total = sum(k * (k - 1) // 2 for k in Counter(labels).values())
+        raise InfeasibleNoCode(twins, total)
     # |B_r| <= sum_{k<=r} (2d)^k and no distance exceeds n, so there are at
     # most N + N(m-1)/2 targets of N bits each.
     count = g.vertex_count

@@ -41,11 +41,15 @@ class CodeVertexOutOfRange(DbicError, ValueError):
 
 
 class InfeasibleNoCode(DbicError):
-    """No identifying code exists: the graph contains twin vertices."""
+    """No identifying code exists: the graph contains twin vertices.
 
-    def __init__(self, twins):
+    `twins` holds the first pairs in sorted order, perhaps not all of them;
+    `total` counts every pair."""
+
+    def __init__(self, twins, total: int | None = None):
         self.twins = list(twins)
+        self.total = len(self.twins) if total is None else total
         first = self.twins[0] if self.twins else None
         super().__init__(
-            f"graph is not identifiable: {len(self.twins)} twin pair(s), first {first}"
+            f"graph is not identifiable: {self.total} twin pair(s), first {first}"
         )

@@ -7,15 +7,20 @@ Self-loops (at the constant words a^n) are stripped from the neighbor
 relation, since they never affect distances, balls, or identification, but
 they are reported via has_loop() and drawn by the DOT export.
 
-`DeBruijnGraph.bfs_layers` is the package's traversal kernel: a layered
-breadth-first frontier that balls, distance arrays, eccentricities, twin
-detection, code verification and the constraint builder run on.  Its
-memory is the set of ids it has reached, so a radius-t query costs
-O(|B_t(x)|), not O(d^n).
+The package has two traversal kernels.  `DeBruijnGraph.bfs_layers` is a
+layered breadth-first frontier from one source, which single balls,
+distance arrays, eccentricities, the constraint builder, and twin
+detection and code verification while a ball's ids take less room than a
+d^n-bit row, run on.  Its memory is the set of ids it has reached, so a
+radius-t query costs O(|B_t(x)|), not O(d^n).  `DeBruijnGraph.ball_rows`
+grows the balls of all sources at once, one radius per round, as one int
+per vertex over a stripe of columns [lo, hi); the whole-graph ball table,
+and twin detection and code verification otherwise, run on it.
 """
 
 from __future__ import annotations
 
+from operator import or_
 from typing import Iterator
 
 from .errors import InvalidParameters
@@ -134,6 +139,42 @@ class DeBruijnGraph:
                             seen.add(w)
                             nxt.append(w)
             layer = nxt
+
+    def ball_rows(self, lo: int, hi: int,
+                  radius: int | None = None) -> Iterator[list[int]]:
+        """Every vertex's ball restricted to the columns [lo, hi): for
+        r = 0, 1, ..., up to `radius` (up to n when None), a list whose
+        entry v has bit w - lo set iff w in [lo, hi) lies in B_r(v).
+
+        One round is B_r(v) = B_{r-1}(v) | the B_{r-1} of v's neighbours,
+        for every v at once in 4N big-int ORs whatever d is: the out-
+        neighbours of v form the block of the d ids that start at
+        (v mod d^(n-1))*d, and its in-neighbours the ids v // d + a*d^(n-1),
+        so one OR over each block and one over each stride serve every
+        vertex.  The diameter is n, so no round after the n-th changes a
+        row and none is run.  The same list is yielded each round and
+        updated in place, so a round holds one row per vertex plus 2N/d.
+        """
+        if radius is not None and radius < 0:
+            raise InvalidParameters("radius must be >= 0", t=radius)
+        d, high, count = self.d, self._suffix_base, self.vertex_count
+        if not 0 <= lo <= hi <= count:
+            raise InvalidParameters("column range outside [0, d^n]",
+                                    lo=lo, hi=hi, d=d, n=self.n)
+        rows = [0] * count
+        rows[lo:hi] = [1 << k for k in range(hi - lo)]
+        yield rows
+        for _ in range(self.n if radius is None else min(radius, self.n)):
+            right = rows[0::d]          # right[s]: OR of the block s*d + a
+            left = rows[0:high]         # left[p]: OR of the stride p + a*high
+            for a in range(1, d):
+                right = list(map(or_, right, rows[a::d]))
+                left = list(map(or_, left, rows[a * high:(a + 1) * high]))
+            for a in range(d):
+                block = slice(a * high, (a + 1) * high)
+                rows[block] = map(or_, rows[block], right)   # v mod high
+                rows[a::d] = map(or_, rows[a::d], left)      # v // d
+            yield rows
 
     def neighbors(self, v: int) -> VertexSet:
         return mask_of(self.neighbor_ids(v))

@@ -1,9 +1,16 @@
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import dbic
+from dbic import codes
 from dbic.balls import all_balls
 from dbic.codes import (DEFAULT_EXACT_CAP, CodeReport, TwinPair,
                         build_constraints, code_strings, find_twins,
@@ -81,6 +88,89 @@ class TestFindTwins:
             assert len(got) == 12094
 
 
+class TestClassKernels:
+    """Ball rows and per-vertex keys must give every vertex the same label,
+    for balls and for their intersections with a code."""
+
+    CELLS = ORACLE_GRID + [(2, 10, 8), (3, 6, 5)]
+
+    @staticmethod
+    def check_kernels_agree(g, t):
+        rows = codes._row_classes(g, t, None)
+        assert rows == codes._key_classes(g, t, None)
+        assert list(codes._pairs(rows)) == [(p.x, p.y)
+                                            for p in find_twins(g, t)]
+        rng = random.Random(g.vertex_count * 10 + t)
+        full = (1 << g.vertex_count) - 1
+        for code in [0, full, rng.getrandbits(g.vertex_count),
+                     rng.getrandbits(g.vertex_count)
+                     & rng.getrandbits(g.vertex_count)]:
+            assert codes._row_classes(g, t, code) \
+                == codes._key_classes(g, t, code)
+
+    @pytest.mark.parametrize("d,n,t", CELLS)
+    def test_rows_match_keys(self, d, n, t):
+        self.check_kernels_agree(DeBruijnGraph(d, n), t)
+
+    @pytest.mark.parametrize("d,n,t", CELLS)
+    def test_rows_match_keys_in_three_or_more_stripes(self, d, n, t,
+                                                      monkeypatch):
+        g = DeBruijnGraph(d, n)
+        count = g.vertex_count
+        # about a third of the table per stripe, so the last one is short
+        monkeypatch.setattr(codes, "ROW_STRIPE_BYTES", count * count // 24)
+        stripes = []
+        ball_rows = DeBruijnGraph.ball_rows
+
+        def spy(self, lo, hi, radius=None):
+            stripes.append((lo, hi))
+            return ball_rows(self, lo, hi, radius)
+
+        monkeypatch.setattr(DeBruijnGraph, "ball_rows", spy)
+        codes._row_classes(g, t, None)
+        assert len(stripes) >= 3
+        assert stripes[0][0] == 0 and stripes[-1][1] == count
+        assert all(a[1] == b[0] for a, b in zip(stripes, stripes[1:]))
+        self.check_kernels_agree(g, t)
+
+    def test_radius_at_least_n_is_one_class(self):
+        for d, n in [(2, 3), (3, 2), (2, 1)]:
+            g = DeBruijnGraph(d, n)
+            for t in (n, n + 2):
+                assert codes._classes(g, t) == [1] * g.vertex_count
+                got = [(g.vertex_string(p.x), g.vertex_string(p.y))
+                       for p in find_twins(g, t)]
+                assert got == twin_pairs(d, n, t)
+
+    @pytest.mark.parametrize("d,n,t", [(2, 3, 3), (3, 2, 4)])
+    def test_verify_at_radius_n_matches_oracle(self, d, n, t):
+        g = DeBruijnGraph(d, n)
+        words = all_strings(d, n)
+        balls = {w: ball_strings(w, d, t) for w in words}
+        for chosen in [[], words[:1], words]:
+            report = verify_code(g, code_mask(chosen, g), t)
+            failures, collisions = code_report(balls, words, chosen)
+            assert [g.vertex_string(v)
+                    for v in report.domination_failures] == failures
+            assert [(g.vertex_string(x), g.vertex_string(y))
+                    for x, y in report.collisions] == collisions
+
+    def test_large_radius_check_in_bounded_memory(self):
+        """check 2 15 13, whose per-vertex keys would take gigabytes, runs
+        on ball rows in stripes inside a 1 GiB address space."""
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+                 "from dbic.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(dbic.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "check", "2", "15", "13"],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["identifiable"] is True
+
+
 class TestIsIdentifiable:
     def test_theorem_region_cells(self):
         assert is_identifiable(DeBruijnGraph(3, 3), 2) == (True, None)
@@ -91,6 +181,13 @@ class TestIsIdentifiable:
         assert not ok
         g = DeBruijnGraph(2, 4)
         assert (g.vertex_string(twin.x), g.vertex_string(twin.y)) == ("0011", "1100")
+
+    @pytest.mark.parametrize("d,n,t", ORACLE_GRID)
+    def test_witness_is_first_twin_pair(self, d, n, t):
+        g = DeBruijnGraph(d, n)
+        twins = find_twins(g, t)
+        assert is_identifiable(g, t) == (not twins, twins[0] if twins
+                                         else None)
 
     def test_matches_full_vertex_code(self):
         # S = V is a code iff there are no twins
@@ -178,6 +275,14 @@ class TestBuildConstraints:
         with pytest.raises(InfeasibleNoCode) as err:
             build_constraints(DeBruijnGraph(2, 2), 1)
         assert err.value.twins == [TwinPair(x=1, y=2, t=1)]
+
+    def test_infeasible_carries_first_ten_pairs_and_total(self):
+        g = DeBruijnGraph(*TWIN_HEAVY[:2])
+        with pytest.raises(InfeasibleNoCode) as err:
+            build_constraints(g, TWIN_HEAVY[2])
+        assert err.value.twins == find_twins(g, TWIN_HEAVY[2])[:10]
+        assert err.value.total == 12094
+        assert "12094 twin pair(s)" in str(err.value)
 
     def test_targets_nonempty_and_deduplicated(self):
         targets = build_constraints(DeBruijnGraph(3, 2), 1)

@@ -1,5 +1,6 @@
 import pytest
 
+from dbic.balls import ball_bfs
 from dbic.errors import InvalidParameters
 from dbic.graph import DeBruijnGraph, export_dot
 from dbic.strings import DBString, encode
@@ -112,6 +113,42 @@ class TestBfsLayers:
             next(g.bfs_layers(0, -1))
         with pytest.raises(InvalidParameters):
             next(g.bfs_layers(8))
+
+
+class TestBallRows:
+    # the graphs of the codes oracle grid
+    GRAPHS = [(2, 4), (2, 5), (3, 3), (4, 2), (2, 8)]
+
+    @pytest.mark.parametrize("d,n", GRAPHS)
+    def test_rows_equal_bfs_balls_at_every_radius(self, d, n):
+        g = DeBruijnGraph(d, n)
+        count = g.vertex_count
+        for lo, hi in [(0, count), (1, count // 2 + 1), (count - 1, count)]:
+            window = (1 << hi) - (1 << lo)
+            rounds = 0
+            for r, rows in enumerate(g.ball_rows(lo, hi)):
+                rounds += 1
+                assert rows == [(ball_bfs(g, v, r) & window) >> lo
+                                for v in range(count)], (lo, hi, r)
+            assert rounds == n + 1  # B_n is the whole graph
+
+    def test_radius_caps_the_rounds_at_n(self):
+        g = DeBruijnGraph(2, 4)
+        assert len(list(g.ball_rows(0, 16, 0))) == 1
+        assert len(list(g.ball_rows(0, 16, 2))) == 3
+        for rows in g.ball_rows(0, 16, 9):
+            pass
+        assert rows == [(1 << 16) - 1] * 16
+
+    def test_empty_stripe(self):
+        g = DeBruijnGraph(3, 2)
+        assert all(rows == [0] * 9 for rows in g.ball_rows(4, 4))
+
+    @pytest.mark.parametrize("lo,hi,radius", [(-1, 4, 1), (5, 4, 1),
+                                              (0, 9, 1), (0, 8, -1)])
+    def test_rejects_bad_stripe_and_radius(self, lo, hi, radius):
+        with pytest.raises(InvalidParameters):
+            next(DeBruijnGraph(2, 3).ball_rows(lo, hi, radius))
 
 
 class TestEdges:
