@@ -25,8 +25,8 @@ because B_t(x) is a set.
 in the vertex count; only the hitting-set constraint builder, which needs
 every ball as a bitset anyway, uses it.  It runs the graph's all-sources
 kernel (`DeBruijnGraph.ball_rows`) over every column at once.  Twin
-detection and code verification stripe that kernel, or key each vertex by
-its ball's id list (see codes).
+detection and code verification run the same kernel in stripes, on exact
+or hashed columns (see codes).
 """
 
 from __future__ import annotations

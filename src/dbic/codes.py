@@ -5,17 +5,21 @@ sets B_t(x) & S coincide.  Twins (vertices with identical balls) are the
 sole obstruction to existence.
 
 Twin detection and code verification give every vertex an exact class
-label for B_t(v), or for B_t(v) & S, on whichever of the graph's two
-kernels keeps less per vertex.  A ball holds at most m = min(N, sum over
+label for B_t(v), or for B_t(v) & S, from one labelling loop over the
+all-sources kernel `DeBruijnGraph.grow_rows`.  Each vertex sets some
+columns in its start row (none when it is outside S), and t rounds of the
+radius recurrence leave in row v the OR of the start rows of B_t(v), which
+depends on that set alone.  A ball holds at most m = min(N, sum over
 k <= t of (2d)^k) ids, so an N-bit row costs no more than m packed int64
-ids when N <= 64m.  Then `DeBruijnGraph.ball_rows` runs the radius
-recurrence for every vertex at once, over stripes of columns of at most
-`ROW_STRIPE_BYTES` of rows in all, and each stripe refines the labels by
-hashing the pair (label so far, row).  Otherwise each vertex is keyed by
-the sorted ids of its ball from `DeBruijnGraph.bfs_layers`, packed into
-bytes.  For t >= n every ball is V, since the diameter is n, so there is
-one class and no traversal.  Memory is one stripe of rows or the sum of
-the keys, never the quadratic table of every ball.
+ids when N <= 64m; then every vertex has a column of its own, and equal
+rows are equal sets.  Otherwise every vertex sets 2 of W = max(64, 4m)
+columns drawn from a fixed-seed generator, and only the vertices whose
+rows collide are confirmed by the sorted ids of their breadth-first
+balls.  Either way the columns run in stripes of at most
+`ROW_STRIPE_BYTES` of rows, and each stripe refines the labels by the pair
+(label so far, row).  For t >= n every ball is V, since the diameter is
+n, so there is one class and no traversal.  Memory is one stripe of rows,
+never the quadratic table of every ball.
 
 Both search routines run on the hitting-set reformulation: S is valid iff
 it intersects every ball and every symmetric difference of balls of
@@ -27,10 +31,12 @@ their targets once by size and seeds its incumbent with greedy over them.
 from __future__ import annotations
 
 import heapq
+import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
+from operator import or_
 from typing import Iterator
 
 from .balls import all_balls
@@ -43,12 +49,19 @@ DEFAULT_NODE_BUDGET = 200_000
 # Code search refuses an instance whose target list could outgrow this many
 # bytes; greedy's cover index takes about as much again.
 MAX_TARGET_BYTES = 2 ** 30
-# Twin detection and verification on ball rows take the columns in stripes
-# whose rows, one int per vertex, hold about this many bytes in all.
+# Twin detection and verification take the columns in stripes whose rows,
+# one int per vertex, hold about this many bytes of bits in all.  A round
+# also holds 2N/d ORs of the rows, so `check 2 15 13` and `check 2 16 15`,
+# whose stripes are full, peak at 181 and 186 MiB RSS.
 ROW_STRIPE_BYTES = 2 ** 26
+# Rows have a column per vertex when N <= ROW_ID_BITS * m, and otherwise 2
+# of max(HASH_MIN_COLUMNS, HASH_COLUMNS_PER_ID * m) hashed columns.
+ROW_ID_BITS = 64
+HASH_MIN_COLUMNS = 64
+HASH_COLUMNS_PER_ID = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwinPair:
     """Distinct vertices x < y with B_t(x) = B_t(y)."""
 
@@ -105,44 +118,77 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
     """A label per vertex for B_t(v), or for B_t(v) & code: equal labels
     iff equal sets, label 0 iff the set is empty, and the other labels
     numbered from 1 in order of first appearance."""
-    if t >= g.n:  # the diameter is n, so every ball is V
-        return [0 if code == 0 else 1] * g.vertex_count
-    m = min(g.vertex_count, sum((2 * g.d) ** k for k in range(t + 1)))
-    # An N-bit row costs no more than the m packed int64 ids a ball can hold.
-    kernel = _row_classes if g.vertex_count <= 64 * m else _key_classes
-    return kernel(g, t, code)
-
-
-def _key_classes(g: DeBruijnGraph, t: int, code: VertexSet | None
-                 ) -> list[int]:
-    """`_classes` from one breadth-first ball per vertex, keyed by its ids."""
-    balls = (_ball_ids(g, v, t) for v in range(g.vertex_count))
-    if code is not None:
-        member = code.to_bytes(-(-g.vertex_count // 8), "little")
-        balls = ([w for w in ball if member[w >> 3] >> (w & 7) & 1]
-                 for ball in balls)
-    ids = {b"": 0}
-    return [ids.setdefault(_key(ball), len(ids)) for ball in balls]
-
-
-def _row_classes(g: DeBruijnGraph, t: int, code: VertexSet | None
-                 ) -> list[int]:
-    """`_classes` from the rows of every ball, one stripe of columns at a
-    time: each stripe splits the classes by the pair (label, row)."""
     count = g.vertex_count
-    labels = [0] * count
-    width = max(1, ROW_STRIPE_BYTES * 8 // count)
-    for lo in range(0, count, width):
-        hi = min(count, lo + width)
-        for rows in g.ball_rows(lo, hi, t):
+    if t >= g.n:  # the diameter is n, so every ball is V
+        return [0 if code == 0 else 1] * count
+    m = min(count, sum((2 * g.d) ** k for k in range(t + 1)))
+    exact = count <= ROW_ID_BITS * m
+    if exact:  # a column per vertex: equal rows are equal sets
+        width, columns = count, [range(count)]
+    else:  # 2 hashed columns per vertex: equal rows are confirmed below
+        width = max(HASH_MIN_COLUMNS, HASH_COLUMNS_PER_ID * m)
+        rng = random.Random(0)
+        columns = [array("I", map(width.__rmod__,
+                                  array("I", rng.randbytes(4 * count))))
+                   for _ in range(2)]
+    member = None
+    if code is not None:  # a vertex outside the code sets no column
+        member = code.to_bytes(-(-count // 8), "little")
+        columns = [array("I", [c if member[v >> 3] >> (v & 7) & 1 else width
+                               for v, c in enumerate(col)])
+                   for col in columns]
+    labels = _stripe_labels(g, t, columns, width)
+    return labels if exact else _confirm(g, t, labels, member)
+
+
+def _stripe_labels(g: DeBruijnGraph, t: int, columns: list, width: int
+                   ) -> list[int]:
+    """Label every vertex by the OR over B_t(v) of its members' columns,
+    one stripe of columns at a time: each stripe splits the classes by
+    the pair (label, row).  `columns` lists one column per vertex per
+    entry; column `width` sets no bit."""
+    count = g.vertex_count
+    labels: list[int] = []
+    step = max(1, ROW_STRIPE_BYTES * 8 // count)
+    for lo in range(0, width, step):
+        hi = min(width, lo + step)
+        bit = [0] * (width + 1)
+        bit[lo:hi] = [1 << k for k in range(hi - lo)]
+        rows = list(map(bit.__getitem__, columns[0]))
+        for col in columns[1:]:
+            rows = list(map(or_, rows, map(bit.__getitem__, col)))
+        del bit
+        for rows in g.grow_rows(rows, t):
             pass
-        if code is not None:
-            rows = map((code >> lo & (1 << hi - lo) - 1).__and__, rows)
-        ids = {(0, 0): 0}  # empty so far stays label 0
-        labels = [ids.setdefault((a, row), len(ids))
-                  for a, row in zip(labels, rows)]
+        if lo == 0:  # keyed by the row itself: no new object per vertex
+            ids = {0: 0}
+            labels = [ids.setdefault(row, len(ids)) for row in rows]
+        else:
+            ids = {(0, 0): 0}  # empty so far stays label 0
+            labels = [ids.setdefault((a, row), len(ids))
+                      for a, row in zip(labels, rows)]
         del rows, ids  # the next stripe's rounds need none of these rows
     return labels
+
+
+def _confirm(g: DeBruijnGraph, t: int, labels: list[int],
+             member: bytes | None) -> list[int]:
+    """Hashed labels made exact: a nonzero label shared by several
+    vertices is split by the sorted ids of each one's set, and the labels
+    renumbered in order of first appearance."""
+    if max(labels) == len(labels) - labels.count(0):
+        return labels  # every nonempty set has a label of its own
+    sizes = Counter(labels)
+    ids: dict = {0: 0}
+    out = []
+    for v, a in enumerate(labels):
+        if a and sizes[a] > 1:
+            ball = _ball_ids(g, v, t)
+            if member is not None:
+                ball = [w for w in ball if member[w >> 3] >> (w & 7) & 1]
+            a = (a, _key(ball))
+        out.append(ids.setdefault(a, len(ids)))
+    return out
 
 
 def _pairs(labels: list[int]) -> Iterator[tuple[int, int]]:

@@ -9,13 +9,15 @@ they are reported via has_loop() and drawn by the DOT export.
 
 The package has two traversal kernels.  `DeBruijnGraph.bfs_layers` is a
 layered breadth-first frontier from one source, which single balls,
-distance arrays, eccentricities, the constraint builder, and twin
-detection and code verification while a ball's ids take less room than a
-d^n-bit row, run on.  Its memory is the set of ids it has reached, so a
-radius-t query costs O(|B_t(x)|), not O(d^n).  `DeBruijnGraph.ball_rows`
-grows the balls of all sources at once, one radius per round, as one int
-per vertex over a stripe of columns [lo, hi); the whole-graph ball table,
-and twin detection and code verification otherwise, run on it.
+distance arrays, eccentricities, the constraint builder, and the exact
+confirmation of hashed twin labels run on.  Its memory is the set of ids
+it has reached, so a radius-t query costs O(|B_t(x)|), not O(d^n).
+`DeBruijnGraph.grow_rows` grows the balls of all sources at once, one
+radius per round, as one int per vertex: the OR of per-vertex start rows
+over each ball.  With each vertex's own column as its start row
+(`DeBruijnGraph.ball_rows`, over a stripe of columns [lo, hi)) that is the
+whole-graph ball table; twin detection and code verification start it
+from their own column maps.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .strings import DBString, decode, max_length
 from .vertexset import VertexSet, bits, mask_of
 
 DEFAULT_MAX_VERTICES = 1_000_000
+# A round of `grow_rows` replaces the rows this many at a time, so the new
+# ORs and the rows they replace overlap in one slice, not in N/d rows.
+_ROUND_SLICE = 4096
 
 
 class DeBruijnGraph:
@@ -145,6 +150,20 @@ class DeBruijnGraph:
         """Every vertex's ball restricted to the columns [lo, hi): for
         r = 0, 1, ..., up to `radius` (up to n when None), a list whose
         entry v has bit w - lo set iff w in [lo, hi) lies in B_r(v).
+        These are the rows of `grow_rows` started from w's own column."""
+        d, count = self.d, self.vertex_count
+        if not 0 <= lo <= hi <= count:
+            raise InvalidParameters("column range outside [0, d^n]",
+                                    lo=lo, hi=hi, d=d, n=self.n)
+        rows = [0] * count
+        rows[lo:hi] = [1 << k for k in range(hi - lo)]
+        yield from self.grow_rows(rows, radius)
+
+    def grow_rows(self, rows: list[int],
+                  radius: int | None = None) -> Iterator[list[int]]:
+        """The radius recurrence on caller-given start rows, one int per
+        vertex: for r = 0, 1, ..., up to `radius` (up to n when None),
+        `rows` with entry v the OR of the start rows of B_r(v).
 
         One round is B_r(v) = B_{r-1}(v) | the B_{r-1} of v's neighbours,
         for every v at once in 4N big-int ORs whatever d is: the out-
@@ -152,17 +171,16 @@ class DeBruijnGraph:
         (v mod d^(n-1))*d, and its in-neighbours the ids v // d + a*d^(n-1),
         so one OR over each block and one over each stride serve every
         vertex.  The diameter is n, so no round after the n-th changes a
-        row and none is run.  The same list is yielded each round and
-        updated in place, so a round holds one row per vertex plus 2N/d.
+        row and none is run.  The list is updated in place and yielded each
+        round.  A round holds the rows, 2N/d ORs of them and one slice of
+        `_ROUND_SLICE` entries, since the rows are replaced slice by slice.
         """
         if radius is not None and radius < 0:
             raise InvalidParameters("radius must be >= 0", t=radius)
         d, high, count = self.d, self._suffix_base, self.vertex_count
-        if not 0 <= lo <= hi <= count:
-            raise InvalidParameters("column range outside [0, d^n]",
-                                    lo=lo, hi=hi, d=d, n=self.n)
-        rows = [0] * count
-        rows[lo:hi] = [1 << k for k in range(hi - lo)]
+        if len(rows) != count:
+            raise InvalidParameters("one start row per vertex is needed",
+                                    rows=len(rows), d=d, n=self.n)
         yield rows
         for _ in range(self.n if radius is None else min(radius, self.n)):
             right = rows[0::d]          # right[s]: OR of the block s*d + a
@@ -170,10 +188,13 @@ class DeBruijnGraph:
             for a in range(1, d):
                 right = list(map(or_, right, rows[a::d]))
                 left = list(map(or_, left, rows[a * high:(a + 1) * high]))
-            for a in range(d):
-                block = slice(a * high, (a + 1) * high)
-                rows[block] = map(or_, rows[block], right)   # v mod high
-                rows[a::d] = map(or_, rows[a::d], left)      # v // d
+            for s in range(0, high, _ROUND_SLICE):
+                e = min(high, s + _ROUND_SLICE)
+                for a in range(d):
+                    block = slice(a * high + s, a * high + e)  # v mod high
+                    stride = slice(a + s * d, a + e * d, d)    # v // d
+                    rows[block] = map(or_, rows[block], right[s:e])
+                    rows[stride] = map(or_, rows[stride], left[s:e])
             yield rows
 
     def neighbors(self, v: int) -> VertexSet:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -88,50 +89,144 @@ class TestFindTwins:
             assert len(got) == 12094
 
 
+def reference_labels(g, t, code=None):
+    """`codes._classes` from one breadth-first ball per vertex, keyed by
+    its sorted ids: 0 for the empty set, the others numbered from 1 in
+    order of first appearance."""
+    return _reference_labels(g.d, g.n, t, code)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_labels(d, n, t, code):
+    g = DeBruijnGraph(d, n)
+    ids = {(): 0}
+    labels = []
+    for v in range(g.vertex_count):
+        ball = sorted(w for layer in g.bfs_layers(v, t) for w in layer
+                      if code is None or code >> w & 1)
+        labels.append(ids.setdefault(tuple(ball), len(ids)))
+    return labels
+
+
+def some_codes(g, t):
+    """No code, then four codes: empty, full and two random ones."""
+    rng = random.Random(g.vertex_count * 10 + t)
+    return [None, 0, (1 << g.vertex_count) - 1,
+            rng.getrandbits(g.vertex_count),
+            rng.getrandbits(g.vertex_count)
+            & rng.getrandbits(g.vertex_count)]
+
+
 class TestClassKernels:
-    """Ball rows and per-vertex keys must give every vertex the same label,
-    for balls and for their intersections with a code."""
+    """Rows with a column per vertex and rows of hashed columns, confirmed
+    exactly, must give every vertex the label of a per-vertex key, for
+    balls and for their intersections with a code."""
 
     CELLS = ORACLE_GRID + [(2, 10, 8), (3, 6, 5)]
 
     @staticmethod
-    def check_kernels_agree(g, t):
-        rows = codes._row_classes(g, t, None)
-        assert rows == codes._key_classes(g, t, None)
-        assert list(codes._pairs(rows)) == [(p.x, p.y)
-                                            for p in find_twins(g, t)]
-        rng = random.Random(g.vertex_count * 10 + t)
-        full = (1 << g.vertex_count) - 1
-        for code in [0, full, rng.getrandbits(g.vertex_count),
-                     rng.getrandbits(g.vertex_count)
-                     & rng.getrandbits(g.vertex_count)]:
-            assert codes._row_classes(g, t, code) \
-                == codes._key_classes(g, t, code)
+    def force(monkeypatch, path):
+        """Take the exact or the hashed path whatever the cell; return the
+        list that a spy on `codes._confirm` appends to."""
+        monkeypatch.setattr(codes, "ROW_ID_BITS",
+                            2 ** 62 if path == "exact" else 0)
+        confirmed = []
+        confirm = codes._confirm
+
+        def spy(g, t, labels, member):
+            confirmed.append(t)
+            return confirm(g, t, labels, member)
+
+        monkeypatch.setattr(codes, "_confirm", spy)
+        return confirmed
+
+    @staticmethod
+    def stripes_of(monkeypatch):
+        """Spy on `grow_rows`; the list gets one entry per call, the ids of
+        the vertices whose start row is not 0."""
+        stripes = []
+        grow_rows = DeBruijnGraph.grow_rows
+
+        def spy(self, rows, radius=None):
+            stripes.append([v for v, row in enumerate(rows) if row])
+            return grow_rows(self, rows, radius)
+
+        monkeypatch.setattr(DeBruijnGraph, "grow_rows", spy)
+        return stripes
 
     @pytest.mark.parametrize("d,n,t", CELLS)
-    def test_rows_match_keys(self, d, n, t):
-        self.check_kernels_agree(DeBruijnGraph(d, n), t)
+    def test_rows_match_keys(self, d, n, t, monkeypatch):
+        g = DeBruijnGraph(d, n)
+        for path in ["exact", "hashed"]:
+            with monkeypatch.context() as patch:
+                confirmed = self.force(patch, path)
+                for code in some_codes(g, t):
+                    assert codes._classes(g, t, code) \
+                        == reference_labels(g, t, code), (path, code)
+                assert len(confirmed) == (5 if path == "hashed" else 0)
+        labels = codes._classes(g, t)
+        assert list(codes._pairs(labels)) == [(p.x, p.y)
+                                              for p in find_twins(g, t)]
 
     @pytest.mark.parametrize("d,n,t", CELLS)
     def test_rows_match_keys_in_three_or_more_stripes(self, d, n, t,
                                                       monkeypatch):
         g = DeBruijnGraph(d, n)
         count = g.vertex_count
+        self.force(monkeypatch, "exact")
         # about a third of the table per stripe, so the last one is short
         monkeypatch.setattr(codes, "ROW_STRIPE_BYTES", count * count // 24)
-        stripes = []
-        ball_rows = DeBruijnGraph.ball_rows
-
-        def spy(self, lo, hi, radius=None):
-            stripes.append((lo, hi))
-            return ball_rows(self, lo, hi, radius)
-
-        monkeypatch.setattr(DeBruijnGraph, "ball_rows", spy)
-        codes._row_classes(g, t, None)
+        stripes = self.stripes_of(monkeypatch)
+        codes._classes(g, t)
         assert len(stripes) >= 3
-        assert stripes[0][0] == 0 and stripes[-1][1] == count
-        assert all(a[1] == b[0] for a, b in zip(stripes, stripes[1:]))
-        self.check_kernels_agree(g, t)
+        # each stripe starts the rows of its own vertices, and they tile V
+        assert [v for stripe in stripes for v in stripe] \
+            == list(range(count))
+        for code in some_codes(g, t):
+            assert codes._classes(g, t, code) \
+                == reference_labels(g, t, code), code
+
+    @pytest.mark.parametrize("d,n,t", CELLS)
+    def test_hashed_path_in_three_or_more_stripes(self, d, n, t,
+                                                  monkeypatch):
+        g = DeBruijnGraph(d, n)
+        confirmed = self.force(monkeypatch, "hashed")
+        # 16 columns in stripes of 5, so the rows collide often and the
+        # last stripe is short
+        monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", 16)
+        monkeypatch.setattr(codes, "HASH_COLUMNS_PER_ID", 0)
+        monkeypatch.setattr(codes, "ROW_STRIPE_BYTES",
+                            g.vertex_count * 5 // 8)
+        stripes = self.stripes_of(monkeypatch)
+        codes._classes(g, t)
+        assert len(stripes) == 4
+        for code in some_codes(g, t):
+            assert codes._classes(g, t, code) \
+                == reference_labels(g, t, code), code
+        assert confirmed
+
+    @pytest.mark.parametrize("d,n,t", ORACLE_GRID)
+    def test_one_hashed_column_matches_oracles(self, d, n, t, monkeypatch):
+        """With a single column every nonempty set gets the same row, so
+        the exact confirmation alone tells the classes apart."""
+        self.force(monkeypatch, "hashed")
+        monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", 1)
+        monkeypatch.setattr(codes, "HASH_COLUMNS_PER_ID", 0)
+        g = DeBruijnGraph(d, n)
+        got = [(g.vertex_string(p.x), g.vertex_string(p.y))
+               for p in find_twins(g, t)]
+        assert got == twin_pairs(d, n, t)
+        words = all_strings(d, n)
+        balls = {w: ball_strings(w, d, t) for w in words}
+        rng = random.Random(g.vertex_count + t)
+        for chosen in [[], words, rng.sample(words, len(words) // 2),
+                       rng.sample(words, len(words) // 4)]:
+            report = verify_code(g, code_mask(chosen, g), t)
+            failures, collisions = code_report(balls, words, sorted(chosen))
+            assert [g.vertex_string(v)
+                    for v in report.domination_failures] == failures
+            assert [(g.vertex_string(x), g.vertex_string(y))
+                    for x, y in report.collisions] == collisions
 
     def test_radius_at_least_n_is_one_class(self):
         for d, n in [(2, 3), (3, 2), (2, 1)]:
@@ -188,6 +283,20 @@ class TestIsIdentifiable:
         twins = find_twins(g, t)
         assert is_identifiable(g, t) == (not twins, twins[0] if twins
                                          else None)
+
+    def test_hashed_rows_need_no_traversal_per_vertex(self, monkeypatch):
+        """B(2,12) t=1 takes the hashed path, and no two of its balls
+        share a row, so nothing needs a breadth-first confirmation."""
+        calls = []
+        bfs_layers = DeBruijnGraph.bfs_layers
+
+        def spy(self, source, radius=None):
+            calls.append(source)
+            return bfs_layers(self, source, radius)
+
+        monkeypatch.setattr(DeBruijnGraph, "bfs_layers", spy)
+        assert is_identifiable(DeBruijnGraph(2, 12), 1) == (True, None)
+        assert calls == []
 
     def test_matches_full_vertex_code(self):
         # S = V is a code iff there are no twins

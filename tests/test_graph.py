@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from dbic import graph
 from dbic.balls import ball_bfs
 from dbic.errors import InvalidParameters
 from dbic.graph import DeBruijnGraph, export_dot
@@ -131,6 +134,32 @@ class TestBallRows:
                 assert rows == [(ball_bfs(g, v, r) & window) >> lo
                                 for v in range(count)], (lo, hi, r)
             assert rounds == n + 1  # B_n is the whole graph
+
+    @pytest.mark.parametrize("d,n", GRAPHS)
+    def test_rounds_in_short_slices(self, d, n, monkeypatch):
+        # slices of 3 entries, so a round takes several and the last is short
+        monkeypatch.setattr(graph, "_ROUND_SLICE", 3)
+        g = DeBruijnGraph(d, n)
+        for r, rows in enumerate(g.ball_rows(0, g.vertex_count)):
+            assert rows == [ball_bfs(g, v, r) for v in range(g.vertex_count)]
+
+    @pytest.mark.parametrize("d,n", GRAPHS)
+    def test_grow_rows_ors_start_rows_over_each_ball(self, d, n):
+        g = DeBruijnGraph(d, n)
+        rng = random.Random(g.vertex_count)
+        start = [rng.getrandbits(5) for _ in range(g.vertex_count)]
+        for r, rows in enumerate(g.grow_rows(list(start), 3)):
+            want = []
+            for v in range(g.vertex_count):
+                row = 0
+                for w in to_ids(ball_bfs(g, v, r)):
+                    row |= start[w]
+                want.append(row)
+            assert rows == want, r
+
+    def test_grow_rows_needs_a_row_per_vertex(self):
+        with pytest.raises(InvalidParameters):
+            next(DeBruijnGraph(2, 3).grow_rows([0] * 7))
 
     def test_radius_caps_the_rounds_at_n(self):
         g = DeBruijnGraph(2, 4)
