@@ -514,6 +514,12 @@ class TestPinnedSearch:
         (2, 8, 1, 2000): ("e032c063904e38d0", 101, False, 2001),
         (3, 4, 2, 2000): ("6aaf7acdb48316b4", 11, False, 2001),
         (4, 3, 1, 3000): ("a18d28f20337eb30", 16, False, 3001),
+        # wide index bitsets, a full clash cache, and budgets 0 and 1
+        (2, 10, 1, 2000): ("0d3bc479e5febfd0", 407, False, 2001),
+        (3, 5, 1, 2000): ("25c0a5f9316c4c38", 74, False, 2001),
+        (2, 6, 1, 50): ("31aee03fb2729c1a", 28, False, 51),
+        (2, 8, 1, 0): ("e032c063904e38d0", 101, False, 1),
+        (2, 8, 1, 1): ("e032c063904e38d0", 101, False, 2),
     }
     # (d, n, t): (code digest, size)
     GREEDY = {
@@ -542,6 +548,22 @@ class TestPinnedSearch:
         code = greedy_code(DeBruijnGraph(d, n), t)
         assert (code_digest(code), popcount(code)) == self.GREEDY[cell]
 
+    def test_search_depth_is_not_bounded_by_recursion(self):
+        """The search keeps its own stack: greedy's 101 vertices on
+        B(2,8) t=1 leave room for a dive deeper than 60 chosen vertices,
+        which a limit of 60 frames above the caller's would stop."""
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            r = min_code(DeBruijnGraph(2, 8), 1, node_budget=200)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (code_digest(r.code), r.size, r.optimal, r.nodes) \
+            == ("e032c063904e38d0", 101, False, 201)
+
 
 class TestMemoryBound:
     """Twin detection and verification hold per-vertex keys, never the
@@ -557,3 +579,10 @@ class TestMemoryBound:
         g = DeBruijnGraph(2, 14)
         everything = (1 << g.vertex_count) - 1
         assert peak_bytes(verify_code, g, everything, 1) < self.LIMIT
+
+    def test_min_code_peak(self):
+        """The search holds one index bitset per open node and one clash
+        mask per target that heads a residual set; a search that copies
+        its target list at each level peaked at 12.3 MiB here."""
+        assert peak_bytes(min_code, DeBruijnGraph(2, 10), 1, 2000) \
+            < self.LIMIT
