@@ -24,9 +24,11 @@ never the quadratic table of every ball.
 Both search routines run on the hitting-set reformulation: S is valid iff
 it intersects every ball and every symmetric difference of balls of
 non-twin pairs within distance 2t; pairs farther apart are separated for
-free by their own centers.  Both searches read one per-vertex cover index;
-`min_code` sorts the targets once by size and works on bitsets over their
-indices, where a child is one AND and the packing bound jumps by clash masks.
+free by their own centers.  Both searches read one per-vertex cover index,
+grown on the same kernel from the pair (x, y) that first gave each target,
+as v lies in B_t(x) iff x lies in B_t(v); `min_code` sorts the targets once
+by size and works on bitsets over their indices, where a child is one AND
+and the packing bound jumps by clash masks.
 """
 
 from __future__ import annotations
@@ -49,15 +51,18 @@ from .vertexset import VertexSet, bits, popcount
 DEFAULT_EXACT_CAP = 64
 DEFAULT_NODE_BUDGET = 200_000
 # Code search refuses an instance whose target list could outgrow this many
-# bytes; the cover index takes about as much again.  Of C targets, the exact
-# search also caches a C-bit clash mask for each one that ever heads a
-# residual set: 9% of C on B(2,8..11) t=1 @2000 nodes, 67% on B(2,5) t=1.
+# bytes; the cover index takes about as much again (greedy never holds both
+# at once).  Of C targets, the exact search also caches a C-bit clash mask
+# for each one that ever heads a residual set: 9% of C on B(2,8..11) t=1
+# @2000 nodes, 67% on B(2,5) t=1.
 MAX_TARGET_BYTES = 2 ** 30
 # Twin detection and verification take the columns in stripes whose rows,
 # one int per vertex, hold about this many bytes of bits in all.  A round
 # also holds 2N/d ORs of the rows, so `check 2 15 13` and `check 2 16 15`,
 # whose stripes are full, peak at 181 and 186 MiB RSS.
 ROW_STRIPE_BYTES = 2 ** 26
+# The cover index is grown this many targets (a multiple of 8) at a time.
+COVER_STRIPE_BITS = 2 ** 13
 # Rows have a column per vertex when N <= ROW_ID_BITS * m, and otherwise 2
 # of max(HASH_MIN_COLUMNS, HASH_COLUMNS_PER_ID * m) hashed columns.
 ROW_ID_BITS = 64
@@ -192,6 +197,8 @@ def _confirm(g: DeBruijnGraph, t: int, labels: list[int],
 
 def _pairs(labels: list[int]) -> Iterator[tuple[int, int]]:
     """Every pair x < y of vertices with equal labels, in sorted order."""
+    if max(labels) == len(labels):
+        return  # the labels are 1..N, so no two match
     sizes = Counter(labels)
     classes: dict[int, list[int]] = {}
     for v, a in enumerate(labels):
@@ -249,6 +256,13 @@ def build_constraints(g: DeBruijnGraph, t: int) -> list[VertexSet]:
     disjoint balls, so any dominating set separates them already), x
     ascending, then y.  A target equal to an earlier one is dropped.
     """
+    balls, first, second = _constraints(g, t)
+    return [balls[x] ^ balls[y] for x, y in zip(first, second)]
+
+
+def _constraints(g: DeBruijnGraph, t: int) -> tuple[list, array, array]:
+    """The balls, with an empty one at N, and the pair that first gave each
+    target: target i is balls[first[i]] ^ balls[second[i]]."""
     _check_t(t)
     labels = _classes(g, t)
     twins = [TwinPair(x=x, y=y, t=t) for x, y in islice(_pairs(labels), 10)]
@@ -265,19 +279,39 @@ def build_constraints(g: DeBruijnGraph, t: int) -> list[VertexSet]:
             f"code search could need {size / 2 ** 30:.1f} GiB for its"
             f" targets, over the {MAX_TARGET_BYTES // 2 ** 30} GiB cap",
             d=g.d, n=g.n, t=t)
-    balls = all_balls(g, t)
-    separations = (balls[x] ^ balls[y] for x in range(count)
-                   for y in sorted(w for w in _ball_ids(g, x, 2 * t) if w > x))
-    return list(dict.fromkeys(chain(balls, separations)))
+    balls = all_balls(g, t) + [0]
+    pairs = chain(zip(range(count), repeat(count)), (
+        (x, y) for x in range(count)
+        for y in sorted(w for w in _ball_ids(g, x, 2 * t) if w > x)))
+    targets: dict = {}
+    first, second = array("I"), array("I")
+    for x, y in pairs:
+        targets.setdefault(balls[x] ^ balls[y])
+        if len(targets) > len(first):  # a new target
+            first.append(x)
+            second.append(y)
+    return balls, first, second
 
 
-def _cover(targets: list[VertexSet], vertex_count: int) -> list[int]:
-    """Per-vertex index: bit i of `cover[v]` is set iff target i holds v."""
-    cover = [bytearray(len(targets) // 8 + 1) for _ in range(vertex_count)]
-    for i, target in enumerate(targets):
-        byte, bit = i >> 3, 1 << (i & 7)
-        for v in bits(target):
-            cover[v][byte] |= bit
+def _cover(g: DeBruijnGraph, t: int, first: array, second: array
+           ) -> list[int]:
+    """Per-vertex index: bit i of `cover[v]` is set iff target i holds v.
+    As v lies in B_t(x) iff x lies in B_t(v), and target i is B_t(first[i])
+    ^ B_t(second[i]), it is the XOR of two runs of `grow_rows` from rows
+    with bit i at vertex first[i] and at second[i], a stripe at a time."""
+    count, step = g.vertex_count, COVER_STRIPE_BITS
+    cover = [bytearray() for _ in range(count)]
+    for lo in range(0, len(first), step):
+        grown = []
+        for sources in (first, second):
+            rows = [0] * (count + 1)  # entry N, the empty ball's, is dropped
+            for k, x in enumerate(sources[lo:lo + step]):
+                rows[x] |= 1 << k
+            for rows in g.grow_rows(rows[:count], t):
+                pass
+            grown.append(rows)
+        for row, a, b in zip(cover, *grown):
+            row += (a ^ b).to_bytes(step // 8, "little")
     for v, row in enumerate(cover):  # in place: one row in both forms at once
         cover[v] = int.from_bytes(row, "little")
     return cover
@@ -303,8 +337,8 @@ def _greedy(cover: list[int], target_count: int) -> VertexSet:
 
 def greedy_code(g: DeBruijnGraph, t: int) -> VertexSet:
     """Greedy valid code: most unhit constraints first, smallest id on ties."""
-    targets = build_constraints(g, t)
-    return _greedy(_cover(targets, g.vertex_count), len(targets))
+    first, second = _constraints(g, t)[1:]  # the N^2-bit balls go now
+    return _greedy(_cover(g, t, first, second), len(first))
 
 
 def min_code(g: DeBruijnGraph, t: int,
@@ -319,10 +353,14 @@ def min_code(g: DeBruijnGraph, t: int,
     no budget, graphs above `DEFAULT_EXACT_CAP` vertices get
     `DEFAULT_NODE_BUDGET`; `optimal` reports whether the search completed.
     """
-    targets = sorted(build_constraints(g, t), key=popcount)
+    balls, *sources = _constraints(g, t)
+    first, second = [array("I", side) for side in zip(*sorted(  # by size
+        zip(*sources), key=lambda p: popcount(balls[p[0]] ^ balls[p[1]])))]
     if node_budget is None and g.vertex_count > DEFAULT_EXACT_CAP:
         node_budget = DEFAULT_NODE_BUDGET
-    keep = _cover(targets, g.vertex_count)
+    keep = _cover(g, t, first, second)  # before the targets: a lower peak
+    targets = [balls[x] ^ balls[y] for x, y in zip(first, second)]
+    del balls, sources, first, second
     best = _greedy(keep, len(targets))
     best_size = popcount(best)
     everything = (1 << len(targets)) - 1

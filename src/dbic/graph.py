@@ -16,8 +16,8 @@ it has reached, so a radius-t query costs O(|B_t(x)|), not O(d^n).
 radius per round, as one int per vertex: the OR of per-vertex start rows
 over each ball.  With each vertex's own column as its start row
 (`DeBruijnGraph.ball_rows`, over a stripe of columns [lo, hi)) that is the
-whole-graph ball table; twin detection and code verification start it
-from their own column maps.
+whole-graph ball table; twin detection, code verification and the code
+search's cover index start it from their own column maps.
 """
 
 from __future__ import annotations

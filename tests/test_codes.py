@@ -426,6 +426,84 @@ class TestPinnedTargets:
         assert (len(targets), digest) == self.PINNED[cell]
 
 
+def reference_cover(targets, vertex_count):
+    """The cover index read off the target bitsets one (target, vertex)
+    incidence at a time: bit i of entry v is set iff v lies in targets[i]."""
+    rows = [bytearray(len(targets) // 8 + 1) for _ in range(vertex_count)]
+    for i, target in enumerate(targets):
+        for v in to_ids(target):
+            rows[v][i >> 3] |= 1 << (i & 7)
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+def assert_cover(cover, targets, vertex_count):
+    """`cover` is the index of `targets`; a failure names the vertices, not
+    the wide ints, whose repr would take pytest minutes."""
+    want = reference_cover(targets, vertex_count)
+    wrong = [v for v in range(vertex_count) if cover[v] != want[v]]
+    assert len(cover) == vertex_count and not wrong, wrong[:10]
+
+
+class TestCoverIndex:
+    """The cover index grown from the target pairs by the radius recurrence
+    equals the one read off the target bitsets, in build order (greedy) and
+    in size order (`min_code`)."""
+
+    # the oracle grid without its twin cell; two dense cells with 2 and 3
+    # rounds per run; and cells with 2t >= n, where balls of far-apart
+    # vertices still meet
+    CELLS = [cell for cell in ORACLE_GRID if cell != TWIN_HEAVY] + [
+        (3, 4, 2), (2, 8, 3), (2, 5, 3), (4, 3, 2)]
+
+    @staticmethod
+    def built_covers(monkeypatch, g, t):
+        """The index built inside `greedy_code`, then inside `min_code`."""
+        built, grow = [], codes._cover
+
+        def spy(*args):
+            cover = grow(*args)
+            built.append(list(cover))  # min_code complements it in place
+            return cover
+
+        monkeypatch.setattr(codes, "_cover", spy)
+        greedy_code(g, t)
+        min_code(g, t, node_budget=0)
+        return built
+
+    @pytest.mark.parametrize("d,n,t", CELLS)
+    def test_matches_target_bitsets(self, monkeypatch, d, n, t):
+        g = DeBruijnGraph(d, n)
+        targets = build_constraints(g, t)
+        # checked before any search runs: greedy need not stop on a bad index
+        assert_cover(codes._cover(g, t, *codes._constraints(g, t)[1:]),
+                     targets, g.vertex_count)
+        by_build, by_size = self.built_covers(monkeypatch, g, t)
+        assert_cover(by_build, targets, g.vertex_count)
+        assert_cover(by_size, sorted(targets, key=popcount), g.vertex_count)
+
+    def test_stripes(self, monkeypatch):
+        """Stripes of 128 of the 378 targets of B(3,3) t=2: two full ones
+        and a short last one of 122, each grown from its first and then its
+        second vertices; the top start bit of a first run is its width."""
+        g, t = DeBruijnGraph(3, 3), 2
+        targets = build_constraints(g, t)
+        monkeypatch.setattr(codes, "COVER_STRIPE_BITS", 128)
+        widths, grow = [], DeBruijnGraph.grow_rows
+
+        def spy(self, rows, radius=None):
+            widths.append(max(rows).bit_length())
+            return grow(self, rows, radius)
+
+        first, second = codes._constraints(g, t)[1:]
+        monkeypatch.setattr(DeBruijnGraph, "grow_rows", spy)
+        assert_cover(codes._cover(g, t, first, second), targets,
+                     g.vertex_count)
+        assert len(widths) == 6 and widths[0::2] == [128, 128, 122]
+        by_build, by_size = self.built_covers(monkeypatch, g, t)
+        assert_cover(by_build, targets, g.vertex_count)
+        assert_cover(by_size, sorted(targets, key=popcount), g.vertex_count)
+
+
 class TestGreedyCode:
     def test_valid_on_figure_graph(self):
         g = DeBruijnGraph(2, 3)
@@ -520,11 +598,16 @@ class TestPinnedSearch:
         (2, 6, 1, 50): ("31aee03fb2729c1a", 28, False, 51),
         (2, 8, 1, 0): ("e032c063904e38d0", 101, False, 1),
         (2, 8, 1, 1): ("e032c063904e38d0", 101, False, 2),
+        # a dense cell whose cover index takes three rounds of the radius
+        # recurrence
+        (2, 8, 3, 200): ("c54dc6acb18bcdde", 26, False, 201),
     }
     # (d, n, t): (code digest, size)
     GREEDY = {
         (3, 5, 1): ("25c0a5f9316c4c38", 74),
         (2, 10, 1): ("0d3bc479e5febfd0", 407),
+        (2, 8, 3): ("c54dc6acb18bcdde", 26),
+        (3, 5, 2): ("4ea76c3d5bf773fd", 26),
     }
 
     @pytest.mark.parametrize("cell", sorted(EXACT))
@@ -586,3 +669,11 @@ class TestMemoryBound:
         its target list at each level peaked at 12.3 MiB here."""
         assert peak_bytes(min_code, DeBruijnGraph(2, 10), 1, 2000) \
             < self.LIMIT
+
+    def test_greedy_code_peak(self):
+        """Greedy's peak is the deduplication of its targets: it grows its
+        index from the target pairs after dropping the bitsets.  Reading the
+        index off the kept bitsets peaked at 3,155,169 bytes here; the bound
+        allows 10% above that, for the pair arrays."""
+        assert peak_bytes(greedy_code, DeBruijnGraph(3, 5), 2) \
+            < 3_155_169 * 11 // 10
