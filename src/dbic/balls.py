@@ -24,7 +24,7 @@ because B_t(x) is a set.
 `all_balls` holds one d^n-bit ball per vertex, so it grows quadratically
 in the vertex count; only the hitting-set constraint builder, which needs
 every ball as a bitset anyway, uses it.  It runs the graph's all-sources
-kernel (`DeBruijnGraph.ball_rows`) over every column at once.  Twin
+kernel (`DeBruijnGraph.grow_rows`) from each vertex's own column.  Twin
 detection and code verification run the same kernel in stripes, on exact
 or hashed columns (see codes).
 """
@@ -181,11 +181,8 @@ def ball_closed_form(x: DBString, t: int) -> VertexSet:
 
 
 def all_balls(g: DeBruijnGraph, t: int) -> list[VertexSet]:
-    """B_t(v) for every vertex v, indexed by id, from the all-sources
-    radius recurrence of `DeBruijnGraph.ball_rows`."""
-    for rows in g.ball_rows(0, g.vertex_count, t):
-        pass
-    return rows
+    """B_t(v) for every vertex v, indexed by id, on the all-sources kernel."""
+    return g.grow_rows([1 << v for v in range(g.vertex_count)], t)
 
 
 @dataclass(frozen=True)

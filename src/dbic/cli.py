@@ -224,13 +224,13 @@ def cmd_code(args) -> int:
 
 def cmd_ecc(args) -> int:
     g = _graph(args)
-    eccs = []  # filled by the CSV table, so the summary needs no second pass
+    table = (metrics.eccentricity_table(g)
+             if args.csv or args.vertex is None else [])
     if args.csv:
         with _open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["d", "n", "vertex", "eccentricity", "witness"])
-            for rep in metrics.eccentricity_table(g):
-                eccs.append(rep.eccentricity)
+            for rep in table:
                 writer.writerow([g.d, g.n, g.vertex_string(rep.vertex),
                                  rep.eccentricity, g.vertex_string(rep.witness)])
     if args.vertex is not None:
@@ -241,10 +241,9 @@ def cmd_ecc(args) -> int:
             "witness": g.vertex_string(rep.witness),
         }, args.pretty)
     else:
-        radius, diameter = ((min(eccs), max(eccs)) if eccs
-                            else metrics.radius_diameter(g))
-        _emit({"d": g.d, "n": g.n, "radius": radius, "diameter": diameter},
-              args.pretty)
+        eccs = [rep.eccentricity for rep in table]
+        _emit({"d": g.d, "n": g.n, "radius": min(eccs),
+               "diameter": max(eccs)}, args.pretty)
     return EXIT_OK
 
 

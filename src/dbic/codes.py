@@ -10,16 +10,16 @@ all-sources kernel `DeBruijnGraph.grow_rows`.  Each vertex sets some
 columns in its start row (none when it is outside S), and t rounds of the
 radius recurrence leave in row v the OR of the start rows of B_t(v), which
 depends on that set alone.  A ball holds at most m = min(N, sum over
-k <= t of (2d)^k) ids, so an N-bit row costs no more than m packed int64
-ids when N <= 64m; then every vertex has a column of its own, and equal
-rows are equal sets.  Otherwise every vertex sets 2 of W = max(64, 4m)
+k <= t of (2d)^k) ids.  When W = max(64, 4m) < N every vertex sets 2 of W
 columns drawn from a fixed-seed generator, and only the vertices whose
 rows collide are confirmed by the sorted ids of their breadth-first
-balls.  Either way the columns run in stripes of at most
-`ROW_STRIPE_BYTES` of rows, and each stripe refines the labels by the pair
-(label so far, row).  For t >= n every ball is V, since the diameter is
-n, so there is one class and no traversal.  Memory is one stripe of rows,
-never the quadratic table of every ball.
+balls.  Otherwise a hashed row would be no narrower, so every vertex has a
+column of its own, and equal rows are equal sets.  Either way the columns
+run in stripes of at most `ROW_STRIPE_BYTES` of rows, and each stripe
+refines the labels by the pair (label so far, row).  For t >= n every
+ball is V, since the diameter is n, so there is one class and no
+traversal.  Memory is one stripe of rows, never the quadratic table of
+every ball.
 
 Both search routines run on the hitting-set reformulation: S is valid iff
 it intersects every ball and every symmetric difference of balls of
@@ -63,9 +63,8 @@ MAX_TARGET_BYTES = 2 ** 30
 ROW_STRIPE_BYTES = 2 ** 26
 # The cover index is grown this many targets (a multiple of 8) at a time.
 COVER_STRIPE_BITS = 2 ** 13
-# Rows have a column per vertex when N <= ROW_ID_BITS * m, and otherwise 2
-# of max(HASH_MIN_COLUMNS, HASH_COLUMNS_PER_ID * m) hashed columns.
-ROW_ID_BITS = 64
+# Rows take 2 of W = max(HASH_MIN_COLUMNS, HASH_COLUMNS_PER_ID * m) hashed
+# columns when W < N, and otherwise a column per vertex.
 HASH_MIN_COLUMNS = 64
 HASH_COLUMNS_PER_ID = 4
 
@@ -85,7 +84,8 @@ class CodeReport:
 
     valid: bool
     domination_failures: list[int]          # vertices with empty identifying set
-    collisions: list[tuple[int, int]]       # pairs with equal identifying sets
+    collisions: list[tuple[int, int]]       # first 10 pairs with equal sets
+    collision_count: int                    # all pairs with equal sets
     code_size: int
 
     def to_json(self, g: DeBruijnGraph) -> dict:
@@ -96,6 +96,7 @@ class CodeReport:
                                     for v in self.domination_failures],
             "collisions": [[g.vertex_string(x), g.vertex_string(y)]
                            for x, y in self.collisions],
+            "collision_count": self.collision_count,
         }
 
 
@@ -126,11 +127,11 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
     if t >= g.n:  # the diameter is n, so every ball is V
         return [0 if code == 0 else 1] * count
     m = min(count, sum((2 * g.d) ** k for k in range(t + 1)))
-    exact = count <= ROW_ID_BITS * m
+    width = max(HASH_MIN_COLUMNS, HASH_COLUMNS_PER_ID * m)
+    exact = width >= count
     if exact:  # a column per vertex: equal rows are equal sets
         width, columns = count, [range(count)]
     else:  # 2 hashed columns per vertex: equal rows are confirmed below
-        width = max(HASH_MIN_COLUMNS, HASH_COLUMNS_PER_ID * m)
         rng = random.Random(0)
         columns = [array("I", map(width.__rmod__,
                                   array("I", rng.randbytes(4 * count))))
@@ -162,8 +163,7 @@ def _stripe_labels(g: DeBruijnGraph, t: int, columns: list, width: int
         for col in columns[1:]:
             rows = list(map(or_, rows, map(bit.__getitem__, col)))
         del bit
-        for rows in g.grow_rows(rows, t):
-            pass
+        rows = g.grow_rows(rows, t)
         if lo == 0:  # keyed by the row itself: no new object per vertex
             ids = {0: 0}
             labels = [ids.setdefault(row, len(ids)) for row in rows]
@@ -211,6 +211,12 @@ def _pairs(labels: list[int]) -> Iterator[tuple[int, int]]:
             yield from zip(repeat(x), members)
 
 
+def _first_pairs(labels: list[int]) -> tuple[list[tuple[int, int]], int]:
+    """The first 10 pairs of `_pairs(labels)`, and a count of them all."""
+    total = sum(k * (k - 1) // 2 for k in Counter(labels).values())
+    return list(islice(_pairs(labels), 10)), total
+
+
 def find_twins(g: DeBruijnGraph, t: int) -> list[TwinPair]:
     """All unordered twin pairs; empty iff the graph is t-identifiable."""
     _check_t(t)
@@ -228,24 +234,20 @@ def is_identifiable(g: DeBruijnGraph, t: int) -> tuple[bool, TwinPair | None]:
 
 
 def verify_code(g: DeBruijnGraph, code: VertexSet, t: int) -> CodeReport:
-    """Check both code conditions exhaustively and report all witnesses.
-
-    Vertices whose identifying sets B_t(v) & code are equal collide, and
-    those with empty sets also fail domination.
-    """
+    """Check both code conditions exhaustively.  Vertices whose identifying
+    sets B_t(v) & code are equal collide, and those with empty sets also
+    fail domination; the report lists every failure, and the first 10
+    colliding pairs with a count of them all."""
     _check_t(t)
     if code >> g.vertex_count:
         bad = next(bits(code >> g.vertex_count)) + g.vertex_count
         raise CodeVertexOutOfRange(bad, g.vertex_count)
     labels = _classes(g, t, code)
     failures = [v for v, a in enumerate(labels) if a == 0]
-    collisions = list(_pairs(labels))
-    return CodeReport(
-        valid=not failures and not collisions,
-        domination_failures=failures,
-        collisions=collisions,
-        code_size=popcount(code),
-    )
+    collisions, count = _first_pairs(labels)
+    return CodeReport(valid=not failures and not collisions,
+                      domination_failures=failures, collisions=collisions,
+                      collision_count=count, code_size=popcount(code))
 
 
 def build_constraints(g: DeBruijnGraph, t: int) -> list[VertexSet]:
@@ -264,11 +266,10 @@ def _constraints(g: DeBruijnGraph, t: int) -> tuple[list, array, array]:
     """The balls, with an empty one at N, and the pair that first gave each
     target: target i is balls[first[i]] ^ balls[second[i]]."""
     _check_t(t)
-    labels = _classes(g, t)
-    twins = [TwinPair(x=x, y=y, t=t) for x, y in islice(_pairs(labels), 10)]
+    twins, total = _first_pairs(_classes(g, t))
     if twins:
-        total = sum(k * (k - 1) // 2 for k in Counter(labels).values())
-        raise InfeasibleNoCode(twins, total)
+        raise InfeasibleNoCode([TwinPair(x=x, y=y, t=t) for x, y in twins],
+                               total)
     # |B_r| <= sum_{k<=r} (2d)^k and no distance exceeds n, so there are at
     # most N + N(m-1)/2 targets of N bits each.
     count = g.vertex_count
@@ -307,9 +308,7 @@ def _cover(g: DeBruijnGraph, t: int, first: array, second: array
             rows = [0] * (count + 1)  # entry N, the empty ball's, is dropped
             for k, x in enumerate(sources[lo:lo + step]):
                 rows[x] |= 1 << k
-            for rows in g.grow_rows(rows[:count], t):
-                pass
-            grown.append(rows)
+            grown.append(g.grow_rows(rows[:count], t))
         for row, a, b in zip(cover, *grown):
             row += (a ^ b).to_bytes(step // 8, "little")
     for v, row in enumerate(cover):  # in place: one row in both forms at once

@@ -46,9 +46,9 @@ class InfeasibleNoCode(DbicError):
     `twins` holds the first pairs in sorted order, perhaps not all of them;
     `total` counts every pair."""
 
-    def __init__(self, twins, total: int | None = None):
+    def __init__(self, twins, total: int):
         self.twins = list(twins)
-        self.total = len(self.twins) if total is None else total
+        self.total = total
         first = self.twins[0] if self.twins else None
         super().__init__(
             f"graph is not identifiable: {self.total} twin pair(s), first {first}"

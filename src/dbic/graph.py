@@ -14,10 +14,10 @@ confirmation of hashed twin labels run on.  Its memory is the set of ids
 it has reached, so a radius-t query costs O(|B_t(x)|), not O(d^n).
 `DeBruijnGraph.grow_rows` grows the balls of all sources at once, one
 radius per round, as one int per vertex: the OR of per-vertex start rows
-over each ball.  With each vertex's own column as its start row
-(`DeBruijnGraph.ball_rows`, over a stripe of columns [lo, hi)) that is the
-whole-graph ball table; twin detection, code verification and the code
-search's cover index start it from their own column maps.
+over each ball.  Started from each vertex's own column it gives the
+whole-graph ball table (`balls.all_balls`); twin detection, code
+verification and the code search's cover index start it from their own
+column maps.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from operator import or_
 from typing import Iterator
 
 from .errors import InvalidParameters
-from .strings import DBString, decode, max_length
-from .vertexset import VertexSet, bits, mask_of
+from .strings import decode, max_length
+from .vertexset import VertexSet, bits
 
 DEFAULT_MAX_VERTICES = 1_000_000
 # A round of `grow_rows` replaces the rows this many at a time, so the new
@@ -66,25 +66,14 @@ class DeBruijnGraph:
     def vertex_string(self, v: int) -> str:
         return str(decode(v, self.d, self.n))
 
-    # -- shift scaffolding (directed edges) --
-
-    def right_shift_ids(self, v: int) -> list[int]:
-        """Ids of x2 ... xn a, the directed out-neighbors of v."""
-        base = (v % self._suffix_base) * self.d
-        return [base + a for a in range(self.d)]
-
-    def left_shift_ids(self, v: int) -> list[int]:
-        """Ids of a x1 ... x(n-1), the directed in-neighbors of v."""
-        base = v // self.d
-        return [base + a * self._suffix_base for a in range(self.d)]
-
     # -- undirected adjacency --
 
     def neighbor_ids(self, v: int) -> list[int]:
-        """Sorted distinct undirected neighbors of v, excluding v itself."""
+        """Sorted distinct shifts x2..xn a and a x1..x(n-1) of v, except v."""
         self._check_vertex(v)
-        out = set(self.right_shift_ids(v))
-        out.update(self.left_shift_ids(v))
+        right = v % self._suffix_base * self.d
+        out = set(range(right, right + self.d))
+        out.update(range(v // self.d, self.vertex_count, self._suffix_base))
         out.discard(v)
         return sorted(out)
 
@@ -145,25 +134,10 @@ class DeBruijnGraph:
                             nxt.append(w)
             layer = nxt
 
-    def ball_rows(self, lo: int, hi: int,
-                  radius: int | None = None) -> Iterator[list[int]]:
-        """Every vertex's ball restricted to the columns [lo, hi): for
-        r = 0, 1, ..., up to `radius` (up to n when None), a list whose
-        entry v has bit w - lo set iff w in [lo, hi) lies in B_r(v).
-        These are the rows of `grow_rows` started from w's own column."""
-        d, count = self.d, self.vertex_count
-        if not 0 <= lo <= hi <= count:
-            raise InvalidParameters("column range outside [0, d^n]",
-                                    lo=lo, hi=hi, d=d, n=self.n)
-        rows = [0] * count
-        rows[lo:hi] = [1 << k for k in range(hi - lo)]
-        yield from self.grow_rows(rows, radius)
-
-    def grow_rows(self, rows: list[int],
-                  radius: int | None = None) -> Iterator[list[int]]:
+    def grow_rows(self, rows: list[int], radius: int) -> list[int]:
         """The radius recurrence on caller-given start rows, one int per
-        vertex: for r = 0, 1, ..., up to `radius` (up to n when None),
-        `rows` with entry v the OR of the start rows of B_r(v).
+        vertex: `rows` with entry v the OR of the start rows of
+        B_radius(v).
 
         One round is B_r(v) = B_{r-1}(v) | the B_{r-1} of v's neighbours,
         for every v at once in 4N big-int ORs whatever d is: the out-
@@ -171,18 +145,17 @@ class DeBruijnGraph:
         (v mod d^(n-1))*d, and its in-neighbours the ids v // d + a*d^(n-1),
         so one OR over each block and one over each stride serve every
         vertex.  The diameter is n, so no round after the n-th changes a
-        row and none is run.  The list is updated in place and yielded each
-        round.  A round holds the rows, 2N/d ORs of them and one slice of
+        row and none is run.  The list is updated in place and returned.
+        A round holds the rows, 2N/d ORs of them and one slice of
         `_ROUND_SLICE` entries, since the rows are replaced slice by slice.
         """
-        if radius is not None and radius < 0:
+        if radius < 0:
             raise InvalidParameters("radius must be >= 0", t=radius)
         d, high, count = self.d, self._suffix_base, self.vertex_count
         if len(rows) != count:
             raise InvalidParameters("one start row per vertex is needed",
                                     rows=len(rows), d=d, n=self.n)
-        yield rows
-        for _ in range(self.n if radius is None else min(radius, self.n)):
+        for _ in range(min(radius, self.n)):
             right = rows[0::d]          # right[s]: OR of the block s*d + a
             left = rows[0:high]         # left[p]: OR of the stride p + a*high
             for a in range(1, d):
@@ -195,10 +168,7 @@ class DeBruijnGraph:
                     stride = slice(a + s * d, a + e * d, d)    # v // d
                     rows[block] = map(or_, rows[block], right[s:e])
                     rows[stride] = map(or_, rows[stride], left[s:e])
-            yield rows
-
-    def neighbors(self, v: int) -> VertexSet:
-        return mask_of(self.neighbor_ids(v))
+        return rows
 
     def has_loop(self, v: int) -> bool:
         """True iff the directed construction yields a loop at v (v = a^n)."""

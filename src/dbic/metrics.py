@@ -69,13 +69,8 @@ def eccentricity_table(g: DeBruijnGraph) -> list[EccentricityReport]:
 
 def radius_diameter(g: DeBruijnGraph) -> tuple[int, int]:
     """(min, max) eccentricity over all vertices, via all-pairs BFS."""
-    lo = g.vertex_count
-    hi = 0
-    for v in range(g.vertex_count):
-        ecc = eccentricity(g, v).eccentricity
-        lo = min(lo, ecc)
-        hi = max(hi, ecc)
-    return lo, hi
+    eccs = [rep.eccentricity for rep in eccentricity_table(g)]
+    return min(eccs), max(eccs)
 
 
 def construct_antipodal(y: DBString) -> DBString:

@@ -27,7 +27,8 @@ CODE_FILE_SCHEMA = {
 
 CODE_REPORT_SCHEMA = {
     "type": "object",
-    "required": ["valid", "code_size", "domination_failures", "collisions"],
+    "required": ["valid", "code_size", "domination_failures", "collisions",
+                 "collision_count"],
     "properties": {
         "valid": {"type": "boolean"},
         "code_size": {"type": "integer", "minimum": 0},
@@ -36,7 +37,9 @@ CODE_REPORT_SCHEMA = {
             "type": "array",
             "items": {"type": "array", "items": _VERTEX,
                       "minItems": 2, "maxItems": 2},
+            "maxItems": 10,
         },
+        "collision_count": {"type": "integer", "minimum": 0},
     },
 }
 

@@ -178,6 +178,29 @@ class TestCodeCommand:
         assert report["valid"] is False
         assert report["collisions"]
 
+    def test_verify_counts_collisions_in_bounded_memory(self, tmp_path):
+        """A one-vertex code of B(2,12) t=1 leaves 4,091 empty identifying
+        sets and 5 equal ones: 8,366,105 colliding pairs, counted, not
+        listed, inside a 1 GiB address space."""
+        code_file = tmp_path / "code.json"
+        code_file.write_text(json.dumps({"code": ["000000000001"]}))
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+                 "from dbic.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(dbic.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "code", "2", "12", "1",
+             "--verify", str(code_file)],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout)
+        jsonschema.validate(report, CODE_REPORT_SCHEMA)
+        assert report["collision_count"] == 8_366_105
+        assert report["collisions"][0] == ["000000000000", "000000000001"]
+        assert len(report["collisions"]) == 10
+
     def test_verify_mismatched_parameters_exits_2(self, capsys, tmp_path):
         code_file = tmp_path / "code.json"
         code_file.write_text(json.dumps({"d": 2, "n": 4, "t": 1,

@@ -117,19 +117,34 @@ def some_codes(g, t):
             & rng.getrandbits(g.vertex_count)]
 
 
+def assert_report(g, t, code, report, failures, collisions):
+    """`report` agrees with the oracle's domination failures and its whole
+    list of collisions, both as vertex strings: the pairs of equal labels
+    are that list, and the report keeps its first 10 and its length."""
+    def named(pairs):
+        return [(g.vertex_string(x), g.vertex_string(y)) for x, y in pairs]
+
+    assert [g.vertex_string(v)
+            for v in report.domination_failures] == failures
+    assert named(codes._pairs(codes._classes(g, t, code))) == collisions
+    assert named(report.collisions) == collisions[:10]
+    assert report.collision_count == len(collisions)
+
+
 class TestClassKernels:
     """Rows with a column per vertex and rows of hashed columns, confirmed
     exactly, must give every vertex the label of a per-vertex key, for
     balls and for their intersections with a code."""
 
-    CELLS = ORACLE_GRID + [(2, 10, 8), (3, 6, 5)]
+    # cells with W = max(64, 4m) < N, the only ones here that take hashed
+    # columns unforced
+    UNFORCED_HASHED = [(2, 10, 2), (3, 6, 2)]
+    CELLS = ORACLE_GRID + [(2, 10, 8), (3, 6, 5)] + UNFORCED_HASHED
 
     @staticmethod
-    def force(monkeypatch, path):
-        """Take the exact or the hashed path whatever the cell; return the
-        list that a spy on `codes._confirm` appends to."""
-        monkeypatch.setattr(codes, "ROW_ID_BITS",
-                            2 ** 62 if path == "exact" else 0)
+    def confirms(monkeypatch):
+        """Spy on `codes._confirm`, which only the hashed path calls; the
+        list gets one entry per call."""
         confirmed = []
         confirm = codes._confirm
 
@@ -140,6 +155,17 @@ class TestClassKernels:
         monkeypatch.setattr(codes, "_confirm", spy)
         return confirmed
 
+    @classmethod
+    def force(cls, monkeypatch, path, g):
+        """Take the exact or the hashed path on g whatever the cell: W at
+        least N, or W = N // 2; return the `_confirm` spy's list."""
+        if path == "exact":
+            monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", 2 ** 62)
+        else:
+            monkeypatch.setattr(codes, "HASH_COLUMNS_PER_ID", 0)
+            monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", g.vertex_count // 2)
+        return cls.confirms(monkeypatch)
+
     @staticmethod
     def stripes_of(monkeypatch):
         """Spy on `grow_rows`; the list gets one entry per call, the ids of
@@ -147,7 +173,7 @@ class TestClassKernels:
         stripes = []
         grow_rows = DeBruijnGraph.grow_rows
 
-        def spy(self, rows, radius=None):
+        def spy(self, rows, radius):
             stripes.append([v for v, row in enumerate(rows) if row])
             return grow_rows(self, rows, radius)
 
@@ -159,7 +185,7 @@ class TestClassKernels:
         g = DeBruijnGraph(d, n)
         for path in ["exact", "hashed"]:
             with monkeypatch.context() as patch:
-                confirmed = self.force(patch, path)
+                confirmed = self.force(patch, path, g)
                 for code in some_codes(g, t):
                     assert codes._classes(g, t, code) \
                         == reference_labels(g, t, code), (path, code)
@@ -169,11 +195,23 @@ class TestClassKernels:
                                               for p in find_twins(g, t)]
 
     @pytest.mark.parametrize("d,n,t", CELLS)
+    def test_rule_picks_the_path(self, d, n, t, monkeypatch):
+        """Unforced, W = max(64, 4m) < N takes hashed columns, each
+        confirmed, and every other cell a column per vertex."""
+        g = DeBruijnGraph(d, n)
+        confirmed = self.confirms(monkeypatch)
+        for code in some_codes(g, t):
+            assert codes._classes(g, t, code) \
+                == reference_labels(g, t, code), code
+        hashed = (d, n, t) in self.UNFORCED_HASHED
+        assert len(confirmed) == (5 if hashed else 0)
+
+    @pytest.mark.parametrize("d,n,t", CELLS)
     def test_rows_match_keys_in_three_or_more_stripes(self, d, n, t,
                                                       monkeypatch):
         g = DeBruijnGraph(d, n)
         count = g.vertex_count
-        self.force(monkeypatch, "exact")
+        self.force(monkeypatch, "exact", g)
         # about a third of the table per stripe, so the last one is short
         monkeypatch.setattr(codes, "ROW_STRIPE_BYTES", count * count // 24)
         stripes = self.stripes_of(monkeypatch)
@@ -190,13 +228,13 @@ class TestClassKernels:
     def test_hashed_path_in_three_or_more_stripes(self, d, n, t,
                                                   monkeypatch):
         g = DeBruijnGraph(d, n)
-        confirmed = self.force(monkeypatch, "hashed")
-        # 16 columns in stripes of 5, so the rows collide often and the
-        # last stripe is short
-        monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", 16)
-        monkeypatch.setattr(codes, "HASH_COLUMNS_PER_ID", 0)
+        confirmed = self.force(monkeypatch, "hashed", g)
+        # 15 columns (fewer than the 16 vertices of the smallest cells) in
+        # stripes of 4, so the rows collide often and the last stripe is
+        # short
+        monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", 15)
         monkeypatch.setattr(codes, "ROW_STRIPE_BYTES",
-                            g.vertex_count * 5 // 8)
+                            -(-g.vertex_count // 2))
         stripes = self.stripes_of(monkeypatch)
         codes._classes(g, t)
         assert len(stripes) == 4
@@ -209,10 +247,9 @@ class TestClassKernels:
     def test_one_hashed_column_matches_oracles(self, d, n, t, monkeypatch):
         """With a single column every nonempty set gets the same row, so
         the exact confirmation alone tells the classes apart."""
-        self.force(monkeypatch, "hashed")
-        monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", 1)
-        monkeypatch.setattr(codes, "HASH_COLUMNS_PER_ID", 0)
         g = DeBruijnGraph(d, n)
+        self.force(monkeypatch, "hashed", g)
+        monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", 1)
         got = [(g.vertex_string(p.x), g.vertex_string(p.y))
                for p in find_twins(g, t)]
         assert got == twin_pairs(d, n, t)
@@ -221,12 +258,10 @@ class TestClassKernels:
         rng = random.Random(g.vertex_count + t)
         for chosen in [[], words, rng.sample(words, len(words) // 2),
                        rng.sample(words, len(words) // 4)]:
-            report = verify_code(g, code_mask(chosen, g), t)
+            code = code_mask(chosen, g)
+            report = verify_code(g, code, t)
             failures, collisions = code_report(balls, words, sorted(chosen))
-            assert [g.vertex_string(v)
-                    for v in report.domination_failures] == failures
-            assert [(g.vertex_string(x), g.vertex_string(y))
-                    for x, y in report.collisions] == collisions
+            assert_report(g, t, code, report, failures, collisions)
 
     def test_radius_at_least_n_is_one_class(self):
         for d, n in [(2, 3), (3, 2), (2, 1)]:
@@ -243,12 +278,10 @@ class TestClassKernels:
         words = all_strings(d, n)
         balls = {w: ball_strings(w, d, t) for w in words}
         for chosen in [[], words[:1], words]:
-            report = verify_code(g, code_mask(chosen, g), t)
+            code = code_mask(chosen, g)
+            report = verify_code(g, code, t)
             failures, collisions = code_report(balls, words, chosen)
-            assert [g.vertex_string(v)
-                    for v in report.domination_failures] == failures
-            assert [(g.vertex_string(x), g.vertex_string(y))
-                    for x, y in report.collisions] == collisions
+            assert_report(g, t, code, report, failures, collisions)
 
     def test_large_radius_check_in_bounded_memory(self):
         """check 2 15 13, whose per-vertex keys would take gigabytes, runs
@@ -315,6 +348,7 @@ class TestVerifyCode:
         assert report.code_size == 4
         assert report.domination_failures == []
         assert report.collisions == []
+        assert report.collision_count == 0
 
     def test_empty_code_fails_domination_everywhere(self):
         g = DeBruijnGraph(2, 3)
@@ -354,12 +388,10 @@ class TestVerifyCode:
                  g.vertex_count]
         for size in sizes + [rng.randint(0, g.vertex_count) for _ in range(3)]:
             chosen = sorted(rng.sample(words, size))
-            report = verify_code(g, code_mask(chosen, g), t)
+            code = code_mask(chosen, g)
+            report = verify_code(g, code, t)
             failures, collisions = code_report(balls, words, chosen)
-            assert [g.vertex_string(v)
-                    for v in report.domination_failures] == failures
-            assert [(g.vertex_string(x), g.vertex_string(y))
-                    for x, y in report.collisions] == collisions
+            assert_report(g, t, code, report, failures, collisions)
             assert report.valid == (not failures and not collisions)
             assert report.code_size == size
 
@@ -490,7 +522,7 @@ class TestCoverIndex:
         monkeypatch.setattr(codes, "COVER_STRIPE_BITS", 128)
         widths, grow = [], DeBruijnGraph.grow_rows
 
-        def spy(self, rows, radius=None):
+        def spy(self, rows, radius):
             widths.append(max(rows).bit_length())
             return grow(self, rows, radius)
 

@@ -51,12 +51,14 @@ class TestBuild:
 class TestNeighbors:
     def test_neighbors_of_011(self):
         g = DeBruijnGraph(2, 3)
-        ids = to_ids(g.neighbors(vid("011", 2)))
+        nbrs = mask_of(g.neighbor_ids(vid("011", 2)))
+        ids = to_ids(nbrs)
         assert [g.vertex_string(v) for v in ids] == ["001", "101", "110", "111"]
 
     def test_loop_stripped_at_000(self):
         g = DeBruijnGraph(2, 3)
-        ids = to_ids(g.neighbors(vid("000", 2)))
+        nbrs = mask_of(g.neighbor_ids(vid("000", 2)))
+        ids = to_ids(nbrs)
         assert [g.vertex_string(v) for v in ids] == ["001", "100"]
 
     def test_neighbors_ternary(self):
@@ -77,7 +79,7 @@ class TestNeighbors:
     @pytest.mark.parametrize("d,n", [(2, 3), (2, 6), (3, 4), (4, 3), (2, 12)])
     def test_symmetry_exhaustive(self, d, n):
         g = DeBruijnGraph(d, n)
-        nbrs = [g.neighbors(v) for v in range(g.vertex_count)]
+        nbrs = [mask_of(g.neighbor_ids(v)) for v in range(g.vertex_count)]
         for v in range(g.vertex_count):
             for w in to_ids(nbrs[v]):
                 assert (nbrs[w] >> v) & 1
@@ -118,6 +120,13 @@ class TestBfsLayers:
             next(g.bfs_layers(8))
 
 
+def column_rows(count, lo, hi):
+    """Start rows with bit w - lo at each vertex w in [lo, hi), 0 elsewhere."""
+    rows = [0] * count
+    rows[lo:hi] = [1 << k for k in range(hi - lo)]
+    return rows
+
+
 class TestBallRows:
     # the graphs of the codes oracle grid
     GRAPHS = [(2, 4), (2, 5), (3, 3), (4, 2), (2, 8)]
@@ -128,27 +137,28 @@ class TestBallRows:
         count = g.vertex_count
         for lo, hi in [(0, count), (1, count // 2 + 1), (count - 1, count)]:
             window = (1 << hi) - (1 << lo)
-            rounds = 0
-            for r, rows in enumerate(g.ball_rows(lo, hi)):
-                rounds += 1
+            for r in range(n + 1):  # B_n is the whole graph
+                rows = g.grow_rows(column_rows(count, lo, hi), r)
                 assert rows == [(ball_bfs(g, v, r) & window) >> lo
                                 for v in range(count)], (lo, hi, r)
-            assert rounds == n + 1  # B_n is the whole graph
 
     @pytest.mark.parametrize("d,n", GRAPHS)
     def test_rounds_in_short_slices(self, d, n, monkeypatch):
         # slices of 3 entries, so a round takes several and the last is short
         monkeypatch.setattr(graph, "_ROUND_SLICE", 3)
         g = DeBruijnGraph(d, n)
-        for r, rows in enumerate(g.ball_rows(0, g.vertex_count)):
-            assert rows == [ball_bfs(g, v, r) for v in range(g.vertex_count)]
+        count = g.vertex_count
+        for r in range(n + 1):
+            rows = g.grow_rows(column_rows(count, 0, count), r)
+            assert rows == [ball_bfs(g, v, r) for v in range(count)]
 
     @pytest.mark.parametrize("d,n", GRAPHS)
     def test_grow_rows_ors_start_rows_over_each_ball(self, d, n):
         g = DeBruijnGraph(d, n)
         rng = random.Random(g.vertex_count)
         start = [rng.getrandbits(5) for _ in range(g.vertex_count)]
-        for r, rows in enumerate(g.grow_rows(list(start), 3)):
+        for r in range(4):
+            rows = g.grow_rows(list(start), r)
             want = []
             for v in range(g.vertex_count):
                 row = 0
@@ -159,25 +169,37 @@ class TestBallRows:
 
     def test_grow_rows_needs_a_row_per_vertex(self):
         with pytest.raises(InvalidParameters):
-            next(DeBruijnGraph(2, 3).grow_rows([0] * 7))
+            DeBruijnGraph(2, 3).grow_rows([0] * 7, 1)
 
-    def test_radius_caps_the_rounds_at_n(self):
+    def test_radius_caps_the_rounds_at_n(self, monkeypatch):
         g = DeBruijnGraph(2, 4)
-        assert len(list(g.ball_rows(0, 16, 0))) == 1
-        assert len(list(g.ball_rows(0, 16, 2))) == 3
-        for rows in g.ball_rows(0, 16, 9):
-            pass
-        assert rows == [(1 << 16) - 1] * 16
+        calls = []
+
+        def or_(a, b):  # counted: no round past the n-th may run
+            calls.append(1)
+            return a | b
+
+        monkeypatch.setattr(graph, "or_", or_)
+
+        def ors(radius):
+            calls.clear()
+            rows = g.grow_rows(column_rows(16, 0, 16), radius)
+            return len(calls), rows
+
+        assert ors(0) == (0, column_rows(16, 0, 16))
+        per_round = ors(1)[0]
+        assert ors(3)[0] == 3 * per_round
+        assert ors(9) == ors(4) == (4 * per_round, [(1 << 16) - 1] * 16)
+        rows = column_rows(16, 0, 16)
+        assert g.grow_rows(rows, 2) is rows  # updated in place
 
     def test_empty_stripe(self):
         g = DeBruijnGraph(3, 2)
-        assert all(rows == [0] * 9 for rows in g.ball_rows(4, 4))
+        assert all(g.grow_rows([0] * 9, r) == [0] * 9 for r in range(4))
 
-    @pytest.mark.parametrize("lo,hi,radius", [(-1, 4, 1), (5, 4, 1),
-                                              (0, 9, 1), (0, 8, -1)])
-    def test_rejects_bad_stripe_and_radius(self, lo, hi, radius):
+    def test_rejects_negative_radius(self):
         with pytest.raises(InvalidParameters):
-            next(DeBruijnGraph(2, 3).ball_rows(lo, hi, radius))
+            DeBruijnGraph(2, 3).grow_rows([0] * 8, -1)
 
 
 class TestEdges:
