@@ -218,6 +218,7 @@ def cmd_code(args) -> int:
             "d": g.d, "n": g.n, "t": args.t,
             "twins": [[g.vertex_string(p.x), g.vertex_string(p.y)]
                       for p in exc.twins[:10]],
+            "twin_count": exc.total,
         }, args.pretty)
         return EXIT_FAIL
 

@@ -6,20 +6,18 @@ sole obstruction to existence.
 
 Twin detection and code verification give every vertex an exact class
 label for B_t(v), or for B_t(v) & S, from one labelling loop over the
-all-sources kernel `DeBruijnGraph.grow_rows`.  Each vertex sets some
-columns in its start row (none when it is outside S), and t rounds of the
-radius recurrence leave in row v the OR of the start rows of B_t(v), which
-depends on that set alone.  A ball holds at most m = min(N, sum over
-k <= t of (2d)^k) ids.  When W = max(64, 4m) < N every vertex sets 2 of W
-columns drawn from a fixed-seed generator, and only the vertices whose
-rows collide are confirmed by the sorted ids of their breadth-first
-balls.  Otherwise a hashed row would be no narrower, so every vertex has a
-column of its own, and equal rows are equal sets.  Either way the columns
-run in stripes of at most `ROW_STRIPE_BYTES` of rows, and each stripe
-refines the labels by the pair (label so far, row).  For t >= n every
-ball is V, since the diameter is n, so there is one class and no
-traversal.  Memory is one stripe of rows, never the quadratic table of
-every ball.
+all-sources kernel `DeBruijnGraph.grow_rows`: each vertex sets some columns
+in its start row (none outside S), and t rounds of the radius recurrence
+leave in row v the OR of the start rows of B_t(v), a function of that set.
+A ball holds at most m = min(N, sum over k <= t of (2d)^k) ids.  When
+W = max(64, 4m) < N, every vertex sets 2 columns, fixed-seed random words
+masked to W rounded up to a power of two, and rows that collide are
+confirmed by the sorted ids of breadth-first balls.  Otherwise every vertex
+has a column of its own, in a fixed-seed random order when there are
+several stripes of `ROW_STRIPE_BYTES` of rows, so that each samples all of
+V.  Each stripe splits the classes by the pair (label so far, row), and no
+stripe runs once every vertex has a nonzero label of its own.  For t >= n
+every ball is V (the diameter is n).  Memory is one stripe of rows.
 
 Both search routines run on the hitting-set reformulation: S is valid iff
 it intersects every ball and every symmetric difference of balls of
@@ -58,8 +56,8 @@ DEFAULT_NODE_BUDGET = 200_000
 MAX_TARGET_BYTES = 2 ** 30
 # Twin detection and verification take the columns in stripes whose rows,
 # one int per vertex, hold about this many bytes of bits in all.  A round
-# also holds 2N/d ORs of the rows, so `check 2 15 13` and `check 2 16 15`,
-# whose stripes are full, peak at 181 and 186 MiB RSS.
+# also holds 2N/d ORs of the rows, so a full stripe peaks near 182 MiB RSS
+# (`check 2 16 15` runs all 8 of its stripes, `check 2 16 14` 1: 179 MiB).
 ROW_STRIPE_BYTES = 2 ** 26
 # The cover index is grown this many targets (a multiple of 8) at a time.
 COVER_STRIPE_BITS = 2 ** 13
@@ -130,12 +128,15 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
     width = max(HASH_MIN_COLUMNS, HASH_COLUMNS_PER_ID * m)
     exact = width >= count
     if exact:  # a column per vertex: equal rows are equal sets
-        width, columns = count, [range(count)]
+        width, columns = count, [list(range(count))]
+        if count * count > ROW_STRIPE_BYTES * 8:  # so each stripe samples V
+            random.Random(0).shuffle(columns[0])
     else:  # 2 hashed columns per vertex: equal rows are confirmed below
+        width = 1 << (width - 1).bit_length()  # a mask draws each column
         rng = random.Random(0)
-        columns = [array("I", map(width.__rmod__,
-                                  array("I", rng.randbytes(4 * count))))
-                   for _ in range(2)]
+        mask = (array("I", [width - 1]) * count).tobytes()
+        columns = [array("I", (int.from_bytes(mask, "big") & rng.getrandbits(
+            8 * len(mask))).to_bytes(len(mask), "big")) for _ in range(2)]
     member = None
     if code is not None:  # a vertex outside the code sets no column
         member = code.to_bytes(-(-count // 8), "little")
@@ -149,28 +150,30 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
 def _stripe_labels(g: DeBruijnGraph, t: int, columns: list, width: int
                    ) -> list[int]:
     """Label every vertex by the OR over B_t(v) of its members' columns,
-    one stripe of columns at a time: each stripe splits the classes by
-    the pair (label, row).  `columns` lists one column per vertex per
-    entry; column `width` sets no bit."""
+    one stripe of columns at a time: each stripe splits the classes by the
+    pair (label, row), until every vertex has a nonzero label of its own.
+    `columns` lists one or two columns per vertex; `width` sets no bit."""
     count = g.vertex_count
-    labels: list[int] = []
     step = max(1, ROW_STRIPE_BYTES * 8 // count)
     for lo in range(0, width, step):
         hi = min(width, lo + step)
         bit = [0] * (width + 1)
         bit[lo:hi] = [1 << k for k in range(hi - lo)]
-        rows = list(map(bit.__getitem__, columns[0]))
-        for col in columns[1:]:
-            rows = list(map(or_, rows, map(bit.__getitem__, col)))
+        rows = [map(bit.__getitem__, col) for col in columns]
+        rows = list(map(or_, *rows) if len(rows) > 1 else rows[0])
         del bit
         rows = g.grow_rows(rows, t)
         if lo == 0:  # keyed by the row itself: no new object per vertex
+            if 0 not in rows and len(set(rows)) == count:
+                return list(range(1, count + 1))
             ids = {0: 0}
             labels = [ids.setdefault(row, len(ids)) for row in rows]
         else:
             ids = {(0, 0): 0}  # empty so far stays label 0
             labels = [ids.setdefault((a, row), len(ids))
                       for a, row in zip(labels, rows)]
+        if len(ids) > count:  # N labels besides 0, so one per vertex
+            break
         del rows, ids  # the next stripe's rounds need none of these rows
     return labels
 

@@ -13,6 +13,9 @@ SWEEP_CSV_HEADER = (
 )
 
 _VERTEX = {"type": "string", "minLength": 1}
+_PAIRS = {"type": "array", "maxItems": 10,  # the first 10 pairs of vertices
+          "items": {"type": "array", "items": _VERTEX,
+                    "minItems": 2, "maxItems": 2}}
 
 CODE_FILE_SCHEMA = {
     "type": "object",
@@ -33,13 +36,21 @@ CODE_REPORT_SCHEMA = {
         "valid": {"type": "boolean"},
         "code_size": {"type": "integer", "minimum": 0},
         "domination_failures": {"type": "array", "items": _VERTEX},
-        "collisions": {
-            "type": "array",
-            "items": {"type": "array", "items": _VERTEX,
-                      "minItems": 2, "maxItems": 2},
-            "maxItems": 10,
-        },
+        "collisions": _PAIRS,
         "collision_count": {"type": "integer", "minimum": 0},
+    },
+}
+
+INFEASIBLE_OUTPUT_SCHEMA = {
+    "type": "object",
+    "required": ["error", "d", "n", "t", "twins", "twin_count"],
+    "properties": {
+        "error": {"const": "infeasible_no_code"},
+        "d": {"type": "integer"},
+        "n": {"type": "integer"},
+        "t": {"type": "integer"},
+        "twins": _PAIRS,
+        "twin_count": {"type": "integer", "minimum": 1},
     },
 }
 

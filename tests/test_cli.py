@@ -18,7 +18,7 @@ from dbic.cli import main
 from dbic.schemas import (BALL_OUTPUT_SCHEMA, CHECK_OUTPUT_SCHEMA,
                           CODE_FILE_SCHEMA, CODE_REPORT_SCHEMA,
                           ECC_OUTPUT_SCHEMA, GRAPH_STATS_SCHEMA,
-                          SWEEP_CSV_HEADER)
+                          INFEASIBLE_OUTPUT_SCHEMA, SWEEP_CSV_HEADER)
 
 
 def run(capsys, *argv):
@@ -211,6 +211,17 @@ class TestCodeCommand:
         code, payload = run_json(capsys, "code", "2", "2", "1")
         assert code == 1
         assert payload["error"] == "infeasible_no_code"
+        jsonschema.validate(payload, INFEASIBLE_OUTPUT_SCHEMA)
+        assert payload["twins"] == [["01", "10"]]
+        assert payload["twin_count"] == 1
+
+    def test_infeasible_counts_every_twin_pair(self, capsys):
+        code, payload = run_json(capsys, "code", "2", "8", "7", "--greedy")
+        assert code == 1
+        jsonschema.validate(payload, INFEASIBLE_OUTPUT_SCHEMA)
+        assert payload["twin_count"] == 12_094
+        assert len(payload["twins"]) == 10
+        assert payload["twins"][0] == ["00000001", "00000011"]
 
     def test_budget_exhaustion_exits_4(self, capsys):
         code, payload = run_json(capsys, "code", "2", "4", "1",

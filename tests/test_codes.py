@@ -131,6 +131,18 @@ def assert_report(g, t, code, report, failures, collisions):
     assert report.collision_count == len(collisions)
 
 
+def first_discrete(stripes):
+    """How many of the stripes `TestClassKernels.stripes_of` saw it took
+    until every vertex's grown rows so far were not all 0 and unlike every
+    other vertex's, or None if they never were."""
+    keys = [()] * len(stripes[0][1])
+    for k, (_, grown) in enumerate(stripes, 1):
+        keys = [key + (row,) for key, row in zip(keys, grown)]
+        if all(map(any, keys)) and len(set(keys)) == len(keys):
+            return k
+    return None
+
+
 class TestClassKernels:
     """Rows with a column per vertex and rows of hashed columns, confirmed
     exactly, must give every vertex the label of a per-vertex key, for
@@ -169,13 +181,14 @@ class TestClassKernels:
     @staticmethod
     def stripes_of(monkeypatch):
         """Spy on `grow_rows`; the list gets one entry per call, the ids of
-        the vertices whose start row is not 0."""
+        the vertices whose start row is not 0 and the grown rows."""
         stripes = []
         grow_rows = DeBruijnGraph.grow_rows
 
         def spy(self, rows, radius):
-            stripes.append([v for v, row in enumerate(rows) if row])
-            return grow_rows(self, rows, radius)
+            starts = [v for v, row in enumerate(rows) if row]
+            stripes.append((starts, list(grow_rows(self, rows, radius))))
+            return stripes[-1][1]
 
         monkeypatch.setattr(DeBruijnGraph, "grow_rows", spy)
         return stripes
@@ -206,42 +219,112 @@ class TestClassKernels:
         hashed = (d, n, t) in self.UNFORCED_HASHED
         assert len(confirmed) == (5 if hashed else 0)
 
+    @classmethod
+    def small_stripes(cls, monkeypatch, path, g):
+        """Force `path`, with stripes of about N/3 columns: 3 or 4 of the N
+        exact ones, the last one short, or 2 or 3 of the hashed ones, N/2
+        rounded up to a power of two.  Return the `grow_rows` spy's list
+        and the number of stripes."""
+        count = g.vertex_count
+        cls.force(monkeypatch, path, g)
+        monkeypatch.setattr(codes, "ROW_STRIPE_BYTES", count * count // 24)
+        step = count * count // 24 * 8 // count
+        width = (count if path == "exact"
+                 else 1 << (count // 2 - 1).bit_length())
+        return cls.stripes_of(monkeypatch), -(-width // step)
+
     @pytest.mark.parametrize("d,n,t", CELLS)
     def test_rows_match_keys_in_three_or_more_stripes(self, d, n, t,
                                                       monkeypatch):
         g = DeBruijnGraph(d, n)
         count = g.vertex_count
-        self.force(monkeypatch, "exact", g)
-        # about a third of the table per stripe, so the last one is short
-        monkeypatch.setattr(codes, "ROW_STRIPE_BYTES", count * count // 24)
-        stripes = self.stripes_of(monkeypatch)
-        codes._classes(g, t)
-        assert len(stripes) >= 3
-        # each stripe starts the rows of its own vertices, and they tile V
-        assert [v for stripe in stripes for v in stripe] \
-            == list(range(count))
+        stripes, total = self.small_stripes(monkeypatch, "exact", g)
+        assert total >= 3
         for code in some_codes(g, t):
-            assert codes._classes(g, t, code) \
-                == reference_labels(g, t, code), code
+            stripes.clear()
+            want = reference_labels(g, t, code)
+            assert codes._classes(g, t, code) == want, code
+            if want != list(range(1, count + 1)):  # never discrete
+                # each stripe starts the rows of its own members, and
+                # they tile the code
+                assert len(stripes) == total
+                assert sorted(v for starts, _ in stripes for v in starts) \
+                    == [v for v in range(count)
+                        if code is None or code >> v & 1]
 
     @pytest.mark.parametrize("d,n,t", CELLS)
     def test_hashed_path_in_three_or_more_stripes(self, d, n, t,
                                                   monkeypatch):
         g = DeBruijnGraph(d, n)
         confirmed = self.force(monkeypatch, "hashed", g)
-        # 15 columns (fewer than the 16 vertices of the smallest cells) in
-        # stripes of 4, so the rows collide often and the last stripe is
-        # short
+        # 15 columns (fewer than the 16 vertices of the smallest cells),
+        # rounded up to 16, in stripes of 3, so the rows collide often
+        # and the last stripe is short
         monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", 15)
         monkeypatch.setattr(codes, "ROW_STRIPE_BYTES",
-                            -(-g.vertex_count // 2))
+                            -(-3 * g.vertex_count // 8))
         stripes = self.stripes_of(monkeypatch)
-        codes._classes(g, t)
-        assert len(stripes) == 4
         for code in some_codes(g, t):
+            stripes.clear()
             assert codes._classes(g, t, code) \
                 == reference_labels(g, t, code), code
+            assert len(stripes) == (first_discrete(stripes) or 6)
         assert confirmed
+
+    # hashed rows of small cells collide in every stripe, and are confirmed
+    @pytest.mark.parametrize("d,n,t,path", [
+        (2, 4, 1, "exact"), (4, 2, 1, "exact"),
+        (3, 6, 5, "exact"), (2, 10, 2, "exact"), (2, 10, 2, "hashed"),
+        (3, 6, 2, "hashed")])
+    def test_identifiable_cell_stops_at_first_discrete_stripe(
+            self, d, n, t, path, monkeypatch):
+        g = DeBruijnGraph(d, n)
+        stripes, total = self.small_stripes(monkeypatch, path, g)
+        assert codes._classes(g, t) == list(range(1, g.vertex_count + 1))
+        assert len(stripes) == first_discrete(stripes) < total
+
+    @pytest.mark.parametrize("path", ["exact", "hashed"])
+    @pytest.mark.parametrize("d,n,t", [(2, 8, 7), (2, 10, 8)])
+    def test_twin_cell_runs_every_stripe(self, d, n, t, path, monkeypatch):
+        g = DeBruijnGraph(d, n)
+        stripes, total = self.small_stripes(monkeypatch, path, g)
+        assert codes._classes(g, t) == reference_labels(g, t)
+        assert len(stripes) == total >= 2
+        assert first_discrete(stripes) is None
+        if path == "exact":  # the first stripe samples V, not a prefix
+            starts = stripes[0][0]
+            assert starts[-1] - starts[0] > 2 * len(starts)
+
+    def test_verify_stops_early_only_on_a_valid_code(self, monkeypatch):
+        """The full code of an identifiable cell leaves every vertex a
+        label of its own before the last stripe; a greedy code less a
+        vertex whose loss makes two identifying sets equal takes every
+        stripe."""
+        g, t = DeBruijnGraph(2, 9), 2
+        code = greedy_code(g, t)
+        worse = next(code & ~(1 << v) for v in to_ids(code)
+                     if verify_code(g, code & ~(1 << v), t).collisions)
+        stripes, total = self.small_stripes(monkeypatch, "exact", g)
+        assert verify_code(g, (1 << g.vertex_count) - 1, t).valid
+        assert len(stripes) == first_discrete(stripes) < total
+        stripes.clear()
+        assert not verify_code(g, worse, t).valid
+        assert len(stripes) == total
+
+    def test_single_stripe_keeps_id_order(self, monkeypatch):
+        """Exact columns that fit one stripe give vertex v column v."""
+        g = DeBruijnGraph(3, 6)
+        self.force(monkeypatch, "exact", g)
+        starts = []
+        grow_rows = DeBruijnGraph.grow_rows
+
+        def spy(self, rows, radius):
+            starts.append(list(rows))
+            return grow_rows(self, rows, radius)
+
+        monkeypatch.setattr(DeBruijnGraph, "grow_rows", spy)
+        codes._classes(g, 2)
+        assert starts == [[1 << v for v in range(g.vertex_count)]]
 
     @pytest.mark.parametrize("d,n,t", ORACLE_GRID)
     def test_one_hashed_column_matches_oracles(self, d, n, t, monkeypatch):
