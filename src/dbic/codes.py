@@ -4,20 +4,20 @@ A code S works iff (1) every ball B_t(x) meets S and (2) no two identifying
 sets B_t(x) & S coincide.  Twins (vertices with identical balls) are the
 sole obstruction to existence.
 
-Twin detection and code verification give every vertex an exact class
-label for B_t(v), or for B_t(v) & S, from one labelling loop over the
-all-sources kernel `DeBruijnGraph.grow_rows`: each vertex sets some columns
-in its start row (none outside S), and t rounds of the radius recurrence
-leave in row v the OR of the start rows of B_t(v), a function of that set.
-A ball holds at most m = min(N, sum over k <= t of (2d)^k) ids.  When
-W = max(64, 4m) < N, every vertex sets 2 columns, fixed-seed random words
-masked to W rounded up to a power of two, and rows that collide are
-confirmed by the sorted ids of breadth-first balls.  Otherwise every vertex
-has a column of its own, in a fixed-seed random order when there are
-several stripes of `ROW_STRIPE_BYTES` of rows, so that each samples all of
-V.  Each stripe splits the classes by the pair (label so far, row), and no
-stripe runs once every vertex has a nonzero label of its own.  For t >= n
-every ball is V (the diameter is n).  Memory is one stripe of rows.
+Twin detection and code verification label every vertex exactly by
+B_t(v), or B_t(v) & S, in one loop over the all-sources kernel
+`DeBruijnGraph.grow_rows`: each vertex sets some columns in its start row
+(none outside S), and t rounds of the radius recurrence leave in row v the
+OR of the start rows of B_t(v), a function of that set.  A ball holds at
+most m = min(N, sum over k <= t of (2d)^k) ids.  When W = max(90, 4m) < N,
+every vertex sets 2 of W columns, fixed-seed random words scaled to W by
+one big-int product, and rows that collide are confirmed by the sorted ids
+of breadth-first balls; otherwise each has a column of its own.  Memory is
+one stripe of `ROW_STRIPE_BYTES` of rows.  Each stripe splits the classes
+by the pair (label so far, row), and none runs once all labels are nonzero
+and distinct.  Several exact stripes take the columns in a fixed-seed
+random order, so that each samples all of V and the first can get there
+at once.  For t >= n every ball is V (the diameter is n).
 
 Both search routines run on the hitting-set reformulation: S is valid iff
 it intersects every ball and every symmetric difference of balls of
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -56,14 +57,13 @@ DEFAULT_NODE_BUDGET = 200_000
 MAX_TARGET_BYTES = 2 ** 30
 # Twin detection and verification take the columns in stripes whose rows,
 # one int per vertex, hold about this many bytes of bits in all.  A round
-# also holds 2N/d ORs of the rows, so a full stripe peaks near 182 MiB RSS
-# (`check 2 16 15` runs all 8 of its stripes, `check 2 16 14` 1: 179 MiB).
+# also holds 2N/d ORs of the rows: `check 2 16 15` peaks at 182 MiB RSS.
 ROW_STRIPE_BYTES = 2 ** 26
 # The cover index is grown this many targets (a multiple of 8) at a time.
 COVER_STRIPE_BITS = 2 ** 13
 # Rows take 2 of W = max(HASH_MIN_COLUMNS, HASH_COLUMNS_PER_ID * m) hashed
-# columns when W < N, and otherwise a column per vertex.
-HASH_MIN_COLUMNS = 64
+# columns if W < N (90 bits: three 30-bit int digits), else one per vertex.
+HASH_MIN_COLUMNS = 90
 HASH_COLUMNS_PER_ID = 4
 
 
@@ -127,34 +127,35 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
     m = min(count, sum((2 * g.d) ** k for k in range(t + 1)))
     width = max(HASH_MIN_COLUMNS, HASH_COLUMNS_PER_ID * m)
     exact = width >= count
+    step = max(1, ROW_STRIPE_BYTES * 8 // count)
     if exact:  # a column per vertex: equal rows are equal sets
         width, columns = count, [list(range(count))]
-        if count * count > ROW_STRIPE_BYTES * 8:  # so each stripe samples V
+        if step < count:  # several stripes, so each samples V
             random.Random(0).shuffle(columns[0])
     else:  # 2 hashed columns per vertex: equal rows are confirmed below
-        width = 1 << (width - 1).bit_length()  # a mask draws each column
-        rng = random.Random(0)
-        mask = (array("I", [width - 1]) * count).tobytes()
-        columns = [array("I", (int.from_bytes(mask, "big") & rng.getrandbits(
-            8 * len(mask))).to_bytes(len(mask), "big")) for _ in range(2)]
+        rng = random.Random(0)  # column (32 random bits * W) >> 32, at once
+        low = int.from_bytes(b"\xff\xff\xff\xff\0\0\0\0" * count, "little")
+        top = sys.byteorder == "little"  # where each product's top word is
+        columns = [array("I", ((rng.getrandbits(64 * count) & low) * width
+                               ).to_bytes(8 * count, sys.byteorder))[top::2]
+                   for _ in range(2)]
     member = None
     if code is not None:  # a vertex outside the code sets no column
         member = code.to_bytes(-(-count // 8), "little")
         columns = [array("I", [c if member[v >> 3] >> (v & 7) & 1 else width
                                for v, c in enumerate(col)])
                    for col in columns]
-    labels = _stripe_labels(g, t, columns, width)
+    labels = _stripe_labels(g, t, columns, width, step)
     return labels if exact else _confirm(g, t, labels, member)
 
 
-def _stripe_labels(g: DeBruijnGraph, t: int, columns: list, width: int
-                   ) -> list[int]:
+def _stripe_labels(g: DeBruijnGraph, t: int, columns: list, width: int,
+                   step: int) -> list[int]:
     """Label every vertex by the OR over B_t(v) of its members' columns,
-    one stripe of columns at a time: each stripe splits the classes by the
-    pair (label, row), until every vertex has a nonzero label of its own.
+    `step` columns at a time: each stripe splits the classes by the pair
+    (label, row), until every vertex has a nonzero label of its own.
     `columns` lists one or two columns per vertex; `width` sets no bit."""
     count = g.vertex_count
-    step = max(1, ROW_STRIPE_BYTES * 8 // count)
     for lo in range(0, width, step):
         hi = min(width, lo + step)
         bit = [0] * (width + 1)
@@ -165,7 +166,7 @@ def _stripe_labels(g: DeBruijnGraph, t: int, columns: list, width: int
         rows = g.grow_rows(rows, t)
         if lo == 0:  # keyed by the row itself: no new object per vertex
             if 0 not in rows and len(set(rows)) == count:
-                return list(range(1, count + 1))
+                return list(range(1, count + 1))  # and no dict of labels
             ids = {0: 0}
             labels = [ids.setdefault(row, len(ids)) for row in rows]
         else:

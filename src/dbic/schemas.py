@@ -13,9 +13,8 @@ SWEEP_CSV_HEADER = (
 )
 
 _VERTEX = {"type": "string", "minLength": 1}
-_PAIRS = {"type": "array", "maxItems": 10,  # the first 10 pairs of vertices
-          "items": {"type": "array", "items": _VERTEX,
-                    "minItems": 2, "maxItems": 2}}
+_PAIRS = {"type": "array", "maxItems": 10, "items": {  # first 10 pairs
+    "type": "array", "items": _VERTEX, "minItems": 2, "maxItems": 2}}
 
 CODE_FILE_SCHEMA = {
     "type": "object",

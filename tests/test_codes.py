@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -148,7 +149,7 @@ class TestClassKernels:
     exactly, must give every vertex the label of a per-vertex key, for
     balls and for their intersections with a code."""
 
-    # cells with W = max(64, 4m) < N, the only ones here that take hashed
+    # cells with W = max(90, 4m) < N, the only ones here that take hashed
     # columns unforced
     UNFORCED_HASHED = [(2, 10, 2), (3, 6, 2)]
     CELLS = ORACLE_GRID + [(2, 10, 8), (3, 6, 5)] + UNFORCED_HASHED
@@ -209,8 +210,8 @@ class TestClassKernels:
 
     @pytest.mark.parametrize("d,n,t", CELLS)
     def test_rule_picks_the_path(self, d, n, t, monkeypatch):
-        """Unforced, W = max(64, 4m) < N takes hashed columns, each
-        confirmed, and every other cell a column per vertex."""
+        """Unforced, W < N takes hashed columns, each confirmed, and every
+        other cell a column per vertex."""
         g = DeBruijnGraph(d, n)
         confirmed = self.confirms(monkeypatch)
         for code in some_codes(g, t):
@@ -219,19 +220,36 @@ class TestClassKernels:
         hashed = (d, n, t) in self.UNFORCED_HASHED
         assert len(confirmed) == (5 if hashed else 0)
 
+    def test_hashed_columns_span_w(self, monkeypatch):
+        """B(3,5) t=2 has W = max(90, 4m) = 172 < N = 243, not a power of
+        two: its rows take 2 columns each, drawn from all of 0..W-1."""
+        g = DeBruijnGraph(3, 5)
+        seen = []
+        stripe_labels = codes._stripe_labels
+
+        def spy(g, t, columns, width, step):
+            seen.append((width, sorted(set(chain(*columns)))))
+            return stripe_labels(g, t, columns, width, step)
+
+        monkeypatch.setattr(codes, "_stripe_labels", spy)
+        assert codes._classes(g, 2) == reference_labels(g, 2)
+        [(width, used)] = seen
+        assert width == 172 and used[0] >= 0 and used[-1] == 171
+        assert len(used) > 140  # 486 draws leave about 10 unused
+
     @classmethod
     def small_stripes(cls, monkeypatch, path, g):
-        """Force `path`, with stripes of about N/3 columns: 3 or 4 of the N
-        exact ones, the last one short, or 2 or 3 of the hashed ones, N/2
-        rounded up to a power of two.  Return the `grow_rows` spy's list
-        and the number of stripes."""
+        """Force `path`, with stripes of about N/3 columns.  Return the
+        `grow_rows` spy's list and how many stripes the empty code took:
+        all of them, as it leaves every vertex label 0."""
         count = g.vertex_count
         cls.force(monkeypatch, path, g)
         monkeypatch.setattr(codes, "ROW_STRIPE_BYTES", count * count // 24)
-        step = count * count // 24 * 8 // count
-        width = (count if path == "exact"
-                 else 1 << (count // 2 - 1).bit_length())
-        return cls.stripes_of(monkeypatch), -(-width // step)
+        stripes = cls.stripes_of(monkeypatch)
+        codes._classes(g, 1, 0)
+        total = len(stripes)
+        stripes.clear()
+        return stripes, total
 
     @pytest.mark.parametrize("d,n,t", CELLS)
     def test_rows_match_keys_in_three_or_more_stripes(self, d, n, t,
@@ -257,18 +275,21 @@ class TestClassKernels:
                                                   monkeypatch):
         g = DeBruijnGraph(d, n)
         confirmed = self.force(monkeypatch, "hashed", g)
-        # 15 columns (fewer than the 16 vertices of the smallest cells),
-        # rounded up to 16, in stripes of 3, so the rows collide often
-        # and the last stripe is short
-        monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", 15)
+        # 14 columns (fewer than the 16 vertices of the smallest cells), in
+        # 5 stripes of 3, the last one short, so the rows collide often
+        monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", 14)
         monkeypatch.setattr(codes, "ROW_STRIPE_BYTES",
                             -(-3 * g.vertex_count // 8))
         stripes = self.stripes_of(monkeypatch)
+        runs = []
         for code in some_codes(g, t):
             stripes.clear()
             assert codes._classes(g, t, code) \
                 == reference_labels(g, t, code), code
-            assert len(stripes) == (first_discrete(stripes) or 6)
+            runs.append((len(stripes), first_discrete(stripes)))
+        total = runs[1][0]  # the empty code runs every stripe
+        assert total == 5
+        assert all(k == (first or total) for k, first in runs), runs
         assert confirmed
 
     # hashed rows of small cells collide in every stripe, and are confirmed
