@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .errors import InvalidParameters, NotApplicable
 from .graph import DeBruijnGraph
 from .strings import DBString, decode, encode
-from .vertexset import VertexSet, mask_of
+from .vertexset import VertexSet, bits, mask_of
 
 FBF = "FBF"
 BFB = "BFB"
@@ -297,12 +297,5 @@ def prefix_set(x: DBString, t: int) -> set[DBString]:
     ball = ball_bfs(g, encode(x), t)
     suffix_base = x.d ** (n - t)
     kept_suffix = encode(x) // (x.d ** t)  # x1 ... x_(n-t) as an integer
-    prefixes = set()
-    mask = ball
-    while mask:
-        low = mask & -mask
-        v = low.bit_length() - 1
-        mask ^= low
-        if v % suffix_base != kept_suffix:
-            prefixes.add(decode(v // suffix_base, x.d, t))
-    return prefixes
+    return {decode(v // suffix_base, x.d, t) for v in bits(ball)
+            if v % suffix_base != kept_suffix}

@@ -5,13 +5,15 @@ JSON for humans.  Every command is deterministic given its flags; elapsed
 times appear only in the sweep's designated column.
 
 Exit codes: 0 success / identifiable / valid; 1 not identifiable, invalid
-code, or no code exists; 2 invalid parameters; 3 closed form not applicable;
-4 search budget exhausted (incumbent still printed).
+code, or no code exists; 2 invalid parameters, a file that cannot be opened,
+written or closed, or an instance too big for memory; 3 closed form not
+applicable; 4 search budget exhausted (incumbent still printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -63,19 +65,10 @@ def _check_budget(args) -> None:
         raise InvalidParameters("--budget must be >= 0", value=args.budget)
 
 
-def _open(path: str, mode: str, **kwargs):
-    """open() whose OS errors (missing file, no permission, a directory)
-    become parameter errors."""
-    try:
-        return open(path, mode, encoding="utf-8", **kwargs)
-    except OSError as exc:
-        raise InvalidParameters(f"cannot open {path!r}: {exc.strerror or exc}")
-
-
 def _read_code_file(path: str) -> dict:
     """The JSON object in a --verify file, checked to carry a "code" list
     of vertex strings."""
-    with _open(path, "r") as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
@@ -138,7 +131,7 @@ def cmd_graph(args) -> int:
         "loops": len(g.loop_vertices()),
     }
     if args.dot:
-        with _open(args.dot, "w") as fh:
+        with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(export_dot(g, highlight))
         stats["dot"] = args.dot
     _emit(stats, args.pretty)
@@ -228,7 +221,7 @@ def cmd_ecc(args) -> int:
     table = (metrics.eccentricity_table(g)
              if args.csv or args.vertex is None else [])
     if args.csv:
-        with _open(args.csv, "w", newline="") as fh:
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["d", "n", "vertex", "eccentricity", "witness"])
             for rep in table:
@@ -276,8 +269,8 @@ def cmd_sweep(args) -> int:
     fixed_ts = None if args.t == "auto" else _int_list(args.t)
     max_vertices = _max_vertices(args)
     _check_budget(args)
-    out_fh = _open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out_fh:
         writer = csv.writer(out_fh)
         writer.writerow(SWEEP_CSV_HEADER)
         cells = 0
@@ -289,9 +282,6 @@ def cmd_sweep(args) -> int:
                                                args.exact_below, args.budget))
                     out_fh.flush()
                     cells += 1
-    finally:
-        if args.out:
-            out_fh.close()
     if args.out:
         _emit({"cells": cells, "out": args.out}, args.pretty)
     return EXIT_OK
@@ -389,6 +379,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidParameters, VertexParseError, CodeVertexOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_PARAMS
+    except (OSError, MemoryError) as exc:
+        # A file that cannot be opened, written or closed, or an instance
+        # too big for memory; str(MemoryError()) is empty.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     except NotApplicable as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 Vertices are the d^n words of length n over [d]; u and v are adjacent iff
 one is a single shift of the other (they overlap in n-1 symbols).  Adjacency
-is computed on demand from the shift algebra; nothing is stored per vertex.
+is computed on demand from the shift algebra by `neighbor_ids`, which the
+edge list and the DOT export also read; nothing is stored per vertex.
 Self-loops (at the constant words a^n) are stripped from the neighbor
 relation, since they never affect distances, balls, or identification, but
 they are reported via has_loop() and drawn by the DOT export.
@@ -181,22 +182,12 @@ class DeBruijnGraph:
         return [a * repunit for a in range(self.d)]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Each undirected non-loop edge once, as (min id, max id).
-
-        Derived by enumerating the d^(n+1) words of length n+1 (the directed
-        edges) and collapsing direction and duplicates; emitted in first-
-        encounter order of that enumeration.
-        """
-        seen = set()
-        for w in range(self.vertex_count * self.d):
-            u = w // self.d          # first n symbols
-            v = w % self.vertex_count  # last n symbols
-            if u == v:
-                continue
-            edge = (u, v) if u < v else (v, u)
-            if edge not in seen:
-                seen.add(edge)
-                yield edge
+        """Each undirected non-loop edge once, as (u, v) with u < v, in
+        sorted order: the ids v > u of `neighbor_ids(u)`, for u ascending."""
+        for u in range(self.vertex_count):
+            for v in self.neighbor_ids(u):
+                if v > u:
+                    yield u, v
 
     def edge_count(self) -> int:
         """Number of undirected non-loop edges, in closed form.
@@ -219,8 +210,9 @@ class DeBruijnGraph:
 def export_dot(g: DeBruijnGraph, highlight: VertexSet = 0) -> str:
     """DOT text for B(d, n); highlighted vertices are drawn filled.
 
-    Vertex stanzas appear in ascending id order, non-loop edges in canonical
-    sorted order, then the self-loops, so output is deterministic.
+    Vertex stanzas appear in ascending id order, non-loop edges in the
+    sorted order of `edges()`, then the self-loops, so output is
+    deterministic.  Each vertex label is formatted once.
     """
     if highlight >> g.vertex_count:
         raise InvalidParameters(
@@ -228,19 +220,16 @@ def export_dot(g: DeBruijnGraph, highlight: VertexSet = 0) -> str:
             d=g.d, n=g.n,
         )
     marked = set(bits(highlight))
+    labels = [f'"{g.vertex_string(v)}"' for v in range(g.vertex_count)]
     lines = [f"graph debruijn_{g.d}_{g.n} {{", "  node [shape=circle];"]
-    for v in range(g.vertex_count):
-        label = g.vertex_string(v)
+    for v, label in enumerate(labels):
         if v in marked:
             lines.append(
-                f'  "{label}" [style=filled, fillcolor=black, fontcolor=white];'
+                f"  {label} [style=filled, fillcolor=black, fontcolor=white];"
             )
         else:
-            lines.append(f'  "{label}";')
-    for u, v in sorted(g.edges()):
-        lines.append(f'  "{g.vertex_string(u)}" -- "{g.vertex_string(v)}";')
-    for v in g.loop_vertices():
-        label = g.vertex_string(v)
-        lines.append(f'  "{label}" -- "{label}";')
+            lines.append(f"  {label};")
+    lines.extend(f"  {labels[u]} -- {labels[v]};" for u, v in g.edges())
+    lines.extend(f"  {labels[v]} -- {labels[v]};" for v in g.loop_vertices())
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -126,6 +126,23 @@ class TestCheckCommand:
         peak_kib = int(proc.stderr.split()[-1])  # ru_maxrss is in KiB
         assert peak_kib < 2 ** 20
 
+    def test_out_of_memory_exits_2(self):
+        """check 2 30 1 under a raised vertex cap cannot fit in a 1 GiB
+        address space: it exits 2 with one error line, not a traceback."""
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+                 "from dbic.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(dbic.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "check", "2", "30", "1",
+             "--max-vertices", "2000000000"],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
+
 
 class TestCodeCommand:
     @pytest.mark.parametrize("mode", ["--greedy", "--exact"])
@@ -376,8 +393,20 @@ class TestInputBoundary:
                              "--verify", str(code_file))
 
     def test_dot_to_unwritable_path(self, capsys, tmp_path):
-        assert self.rejected(capsys, "graph", "2", "3",
-                             "--dot", str(tmp_path / "missing" / "out.dot"))
+        """A file that cannot be opened, or (/dev/full) that fails on write
+        or close, exits 2 with one error line and no stdout."""
+        paths = [str(tmp_path / "missing" / "out")]
+        if os.path.exists("/dev/full"):
+            paths.append("/dev/full")
+        for path in paths:
+            for argv in (["graph", "2", "3", "--dot", path],
+                         ["ecc", "2", "3", "--csv", path],
+                         ["sweep", "--d", "2", "--n", "2", "--t", "1",
+                          "--out", path]):
+                assert main(argv) == 2, argv
+                out, err = capsys.readouterr()
+                assert out == "", argv
+                assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_negative_budget(self, capsys):
         assert self.rejected(capsys, "code", "2", "3", "1", "--budget", "-5")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -215,6 +216,7 @@ class TestEdges:
     def test_edges_match_oracle_and_degrees(self, d, n):
         g = DeBruijnGraph(d, n)
         edges = list(g.edges())
+        assert edges == sorted(edges)
         assert len(edges) == len(set(edges))
         assert all(u < v for u, v in edges)
         named = {(g.vertex_string(u), g.vertex_string(v)) for u, v in edges}
@@ -227,6 +229,17 @@ class TestEdges:
     def test_closed_form_count_matches_enumeration(self, d, n):
         g = DeBruijnGraph(d, n)
         assert g.edge_count() == sum(1 for _ in g.edges())
+
+    def test_edges_hold_no_edge_set(self):
+        """A full pass over B(2,14)'s 32,765 edges keeps no record of the
+        edges already emitted: its traced peak stays under 1 MiB."""
+        g = DeBruijnGraph(2, 14)
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in g.edges()) == g.edge_count()
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+        finally:
+            tracemalloc.stop()
 
 
 class TestDotExport:
