@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -83,6 +84,18 @@ def _read_code_file(path: str) -> dict:
     return payload
 
 
+@contextlib.contextmanager
+def _output_file(path: str, newline: str | None = None):
+    """`path` opened for writing; a failed write or close names it, as a
+    failed open does."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        exc.filename = path
+        raise
+
+
 def _graph(args) -> DeBruijnGraph:
     return DeBruijnGraph(args.d, args.n, max_vertices=_max_vertices(args))
 
@@ -131,7 +144,7 @@ def cmd_graph(args) -> int:
         "loops": len(g.loop_vertices()),
     }
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
+        with _output_file(args.dot) as fh:
             fh.write(export_dot(g, highlight))
         stats["dot"] = args.dot
     _emit(stats, args.pretty)
@@ -218,10 +231,9 @@ def cmd_code(args) -> int:
 
 def cmd_ecc(args) -> int:
     g = _graph(args)
-    table = (metrics.eccentricity_table(g)
-             if args.csv or args.vertex is None else [])
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+        table = metrics.eccentricity_table(g)
+        with _output_file(args.csv, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["d", "n", "vertex", "eccentricity", "witness"])
             for rep in table:
@@ -235,7 +247,9 @@ def cmd_ecc(args) -> int:
             "witness": g.vertex_string(rep.witness),
         }, args.pretty)
     else:
-        eccs = [rep.eccentricity for rep in table]
+        # A table written above already holds every eccentricity.
+        eccs = ([rep.eccentricity for rep in table] if args.csv
+                else metrics.radius_diameter(g))
         _emit({"d": g.d, "n": g.n, "radius": min(eccs),
                "diameter": max(eccs)}, args.pretty)
     return EXIT_OK
@@ -269,7 +283,7 @@ def cmd_sweep(args) -> int:
     fixed_ts = None if args.t == "auto" else _int_list(args.t)
     max_vertices = _max_vertices(args)
     _check_budget(args)
-    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+    with (_output_file(args.out, newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as out_fh:
         writer = csv.writer(out_fh)
         writer.writerow(SWEEP_CSV_HEADER)
@@ -287,7 +301,11 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves no state in it, and the
+    vertex cap's environment default is read when a command runs.  A new
+    parser per `main` call would leave its objects to the cycle collector."""
     parser = argparse.ArgumentParser(
         prog="dbic",
         description="Identifying codes, balls, and eccentricity on "

@@ -3,14 +3,19 @@ vertex construction on B(d, n).
 
 Distances and eccentricities run on the graph's breadth-first kernel
 (`DeBruijnGraph.bfs_layers`).  An eccentricity is the depth of the last
-layer, so all-pairs work runs the kernel once per vertex and holds no
-distance array.  `distance` still runs its own frontier loop, stopping at
-the first sight of its target.
+layer, so no distance array is held.  The per-vertex table, which names a
+witness for each vertex, runs the kernel once per vertex; radius and
+diameter run it once per orbit of the automorphisms.  Renaming the symbols
+and reading words backwards both keep two words overlapping in n-1
+symbols, so they map B(d, n) onto itself and keep every eccentricity.
+`distance` still runs its own frontier loop, stopping at the first sight
+of its target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InvalidParameters
 from .graph import DeBruijnGraph
@@ -67,9 +72,37 @@ def eccentricity_table(g: DeBruijnGraph) -> list[EccentricityReport]:
     return [eccentricity(g, v) for v in range(g.vertex_count)]
 
 
+def orbit_representatives(d: int, n: int) -> Iterator[int]:
+    """One vertex id per orbit of B(d, n) under symbol permutations and
+    reversal, ascending: the words in first-appearance form (symbols
+    numbered 0, 1, 2, ... as they first appear; one word per permutation
+    orbit) that are no greater than the first-appearance form of their
+    reversal.  Words grow one symbol at a time, so only one is held."""
+    return _representatives_from([], d, n, 0, 0)
+
+
+def _representatives_from(word: list[int], d: int, n: int, value: int,
+                          fresh: int) -> Iterator[int]:
+    # `word` (id `value`, symbols 0 .. fresh-1) grows in place; a nested
+    # generator calling itself would leave a reference cycle per call.
+    if len(word) == n:
+        names: dict[int, int] = {}
+        if word <= [names.setdefault(a, len(names)) for a in reversed(word)]:
+            yield value
+        return
+    for a in range(min(fresh + 1, d)):
+        word.append(a)
+        yield from _representatives_from(word, d, n, value * d + a,
+                                         max(fresh, a + 1))
+        word.pop()
+
+
 def radius_diameter(g: DeBruijnGraph) -> tuple[int, int]:
-    """(min, max) eccentricity over all vertices, via all-pairs BFS."""
-    eccs = [rep.eccentricity for rep in eccentricity_table(g)]
+    """(min, max) eccentricity over all vertices, by one BFS per orbit
+    (`orbit_representatives`).  Exact, since an automorphism keeps
+    distances and so gives a whole orbit one eccentricity."""
+    eccs = {eccentricity(g, v).eccentricity
+            for v in orbit_representatives(g.d, g.n)}
     return min(eccs), max(eccs)
 
 

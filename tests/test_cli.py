@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -286,6 +287,39 @@ class TestEccCommand:
         assert len(calls) == 81
         assert len(list(csv.reader(target.open()))) == 82
 
+    def test_summary_runs_one_traversal_per_orbit(self, capsys, monkeypatch):
+        calls = []
+        single = metrics.eccentricity
+        monkeypatch.setattr(metrics, "eccentricity",
+                            lambda g, v: calls.append(v) or single(g, v))
+        code, payload = run_json(capsys, "ecc", "3", "4")
+        assert code == 0
+        assert (payload["radius"], payload["diameter"]) == (4, 4)
+        assert calls == list(metrics.orbit_representatives(3, 4))
+
+
+class TestParserReuse:
+    def test_repeated_calls_leave_no_cyclic_garbage(self):
+        """`main` reuses one parser, so ten calls on two commands leave
+        nothing for the cycle collector, and print what the first did."""
+        argvs = [["check", "3", "4", "2"], ["ecc", "2", "3"]]
+
+        def call(argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(list(argv))
+            return code, out.getvalue()
+
+        first = [call(argv) for argv in argvs]
+        gc.disable()
+        try:
+            gc.collect()
+            again = [call(argvs[i % 2]) for i in range(10)]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert again == first * 5
+
 
 class TestSweepCommand:
     def test_grid_and_auto_radius(self, capsys, tmp_path):
@@ -394,7 +428,8 @@ class TestInputBoundary:
 
     def test_dot_to_unwritable_path(self, capsys, tmp_path):
         """A file that cannot be opened, or (/dev/full) that fails on write
-        or close, exits 2 with one error line and no stdout."""
+        or close, exits 2 with one error line, naming the file, and no
+        stdout."""
         paths = [str(tmp_path / "missing" / "out")]
         if os.path.exists("/dev/full"):
             paths.append("/dev/full")
@@ -407,6 +442,7 @@ class TestInputBoundary:
                 out, err = capsys.readouterr()
                 assert out == "", argv
                 assert err.startswith("error: ") and err.count("\n") == 1
+                assert path in err, argv
 
     def test_negative_budget(self, capsys):
         assert self.rejected(capsys, "code", "2", "3", "1", "--budget", "-5")

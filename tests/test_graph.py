@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -201,6 +202,26 @@ class TestBallRows:
     def test_rejects_negative_radius(self):
         with pytest.raises(InvalidParameters):
             DeBruijnGraph(2, 3).grow_rows([0] * 8, -1)
+
+
+class TestAutomorphisms:
+    """Renaming the symbols and reversing the words map B(d, n) onto
+    itself, the symmetry that `metrics.radius_diameter` reduces by."""
+
+    SMALL = [(d, n) for d in (2, 3, 4) for n in range(1, 9) if d ** n <= 256]
+
+    @pytest.mark.parametrize("d,n", SMALL)
+    def test_preserve_oracle_edge_set(self, d, n):
+        edges = undirected_edge_set(d, n)
+
+        def image(word_map):
+            return {tuple(sorted((word_map(u), word_map(v))))
+                    for u, v in edges}
+
+        for perm in itertools.permutations("0123"[:d]):
+            rename = str.maketrans("0123"[:d], "".join(perm))
+            assert image(lambda w: w.translate(rename)) == edges, perm
+        assert image(lambda w: w[::-1]) == edges
 
 
 class TestEdges:

@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
+from dbic import metrics
 from dbic.balls import ball_bfs
 from dbic.errors import InvalidParameters
 from dbic.graph import DeBruijnGraph
 from dbic.metrics import (bfs_distances, construct_antipodal, distance,
-                          eccentricity, eccentricity_table, radius_diameter)
-from dbic.strings import DBString, encode
+                          eccentricity, eccentricity_table,
+                          orbit_representatives, radius_diameter)
+from dbic.strings import DBString, decode, encode
 
 from oracles import distances_from
 
@@ -105,6 +108,84 @@ class TestRadiusDiameter:
 
     def test_single_edge(self):
         assert radius_diameter(DeBruijnGraph(2, 1)) == (1, 1)
+
+
+def graphs_up_to(limit, max_d=None):
+    """Every (d, n) with d^n <= limit, d capped at max_d when given."""
+    top = limit if max_d is None else max_d
+    return [(d, n) for d in range(2, top + 1)
+            for n in range(1, limit.bit_length()) if d ** n <= limit]
+
+
+def orbits(d, n):
+    """Orbit index of every word of B(d, n), closed by brute force under
+    a transposition and a cycle of the symbols, which generate all d!
+    permutations, and reversal."""
+    maps = [lambda w: w[::-1],
+            lambda w: tuple((a + 1) % d for a in w)]
+    if d > 2:
+        maps.append(lambda w: tuple({0: 1, 1: 0}.get(a, a) for a in w))
+    orbit_of, count = {}, 0
+    for start in itertools.product(range(d), repeat=n):
+        if start in orbit_of:
+            continue
+        orbit_of[start], stack = count, [start]
+        while stack:
+            word = stack.pop()
+            for image in (f(word) for f in maps):
+                if image not in orbit_of:
+                    orbit_of[image] = count
+                    stack.append(image)
+        count += 1
+    return orbit_of, count
+
+
+class TestOrbitRepresentatives:
+    @pytest.mark.parametrize("d,n", graphs_up_to(1024, max_d=32))
+    def test_one_word_per_orbit(self, d, n):
+        orbit_of, count = orbits(d, n)
+        reps = list(orbit_representatives(d, n))
+        assert reps == sorted(reps)
+        hit = [orbit_of[decode(v, d, n).digits] for v in reps]
+        assert sorted(hit) == list(range(count))
+
+    def test_one_word_per_orbit_of_complete_graphs(self):
+        """n = 1: every symbol permutation is one orbit of d words."""
+        for d in range(2, 1025):
+            assert list(orbit_representatives(d, 1)) == [0]
+
+    @pytest.mark.parametrize("d,n,count", [(2, 8, 72), (4, 4, 11),
+                                           (6, 3, 4), (3, 5, 25)])
+    def test_counts(self, d, n, count):
+        assert sum(1 for _ in orbit_representatives(d, n)) == count
+
+
+class TestRadiusDiameterByOrbit:
+    @pytest.mark.parametrize("d,n", graphs_up_to(1024, max_d=16))
+    def test_matches_every_vertex(self, d, n):
+        g = DeBruijnGraph(d, n)
+        eccs = [rep.eccentricity for rep in eccentricity_table(g)]
+        assert radius_diameter(g) == (min(eccs), max(eccs))
+
+    @pytest.mark.parametrize("d,n", [(d, n) for d, n in
+                                     graphs_up_to(1024, max_d=16) if d >= 3]
+                             + [(3, 7)])
+    def test_every_vertex_has_eccentricity_n(self, d, n):
+        """The paper's result for d >= 3, with `construct_antipodal`
+        naming a vertex at distance n from each representative."""
+        g = DeBruijnGraph(d, n)
+        assert radius_diameter(g) == (n, n)
+        for v in orbit_representatives(d, n):
+            far = encode(construct_antipodal(decode(v, d, n)))
+            assert distance(g, v, far) == n
+
+    def test_one_traversal_per_orbit(self, monkeypatch):
+        calls = []
+        single = metrics.eccentricity
+        monkeypatch.setattr(metrics, "eccentricity",
+                            lambda g, v: calls.append(v) or single(g, v))
+        assert radius_diameter(DeBruijnGraph(2, 8)) == (7, 8)
+        assert calls == list(orbit_representatives(2, 8))
 
 
 class TestConstructAntipodal:
