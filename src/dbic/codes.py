@@ -24,9 +24,9 @@ it intersects every ball and every symmetric difference of balls of
 non-twin pairs within distance 2t; pairs farther apart are separated for
 free by their own centers.  Both searches read one per-vertex cover index,
 grown on the same kernel from the pair (x, y) that first gave each target,
-as v lies in B_t(x) iff x lies in B_t(v); `min_code` sorts the targets once
-by size and works on bitsets over their indices, where a child is one AND
-and the packing bound jumps by clash masks.
+as v lies in B_t(x) iff x lies in B_t(v).  `min_code` works on bitsets over
+the targets sorted by size, the smallest at the top bit: a child is one AND,
+and the packing bound jumps by clash masks up to the incumbent's gap.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import chain, islice, repeat
 from operator import and_, or_
 from typing import Iterator
@@ -51,9 +51,8 @@ DEFAULT_EXACT_CAP = 64
 DEFAULT_NODE_BUDGET = 200_000
 # Code search refuses an instance whose target list could outgrow this many
 # bytes; the cover index takes about as much again (greedy never holds both
-# at once).  Of C targets, the exact search also caches a C-bit clash mask
-# for each one that ever heads a residual set: 9% of C on B(2,8..11) t=1
-# @2000 nodes, 67% on B(2,5) t=1.
+# at once).  Of C targets, the exact search masks (C bits) those its packing
+# reaches short of the gap: 9% on B(2,8..11) t=1 @2000, 53% on B(2,5) t=1.
 MAX_TARGET_BYTES = 2 ** 30
 # Twin detection and verification take the columns in stripes whose rows,
 # one int per vertex, hold about this many bytes of bits in all.  A round
@@ -348,17 +347,17 @@ def min_code(g: DeBruijnGraph, t: int,
              node_budget: int | None = None) -> MinCodeResult:
     """Smallest code by branch and bound over the hitting-set constraints.
 
-    Targets are sorted by size once, stably; a node's unsatisfied targets
-    are one int over their indices, and greedy seeds the incumbent.  The
-    lower bound packs disjoint targets, lowest index first, dropping those
-    that meet each one through its cached clash mask.  Nodes branch on each
-    vertex of their lowest target, depth first on an explicit stack.  With
-    no budget, graphs above `DEFAULT_EXACT_CAP` vertices get
+    Targets are sorted by size once, stably, the first at the top bit of a
+    node's int of unsatisfied targets; greedy seeds the incumbent.  The bound
+    packs disjoint targets, first first, dropping those that meet each one
+    through its clash mask, and stops at the gap to the incumbent.  Nodes
+    branch on each vertex of their first target, depth first on an explicit
+    stack.  With no budget, graphs above `DEFAULT_EXACT_CAP` vertices get
     `DEFAULT_NODE_BUDGET`; `optimal` reports whether the search completed.
     """
     balls, *sources = _constraints(g, t)
-    first, second = [array("I", side) for side in zip(*sorted(  # by size
-        zip(*sources), key=lambda p: popcount(balls[p[0]] ^ balls[p[1]])))]
+    first, second = [array("I", side) for side in zip(*reversed(sorted(
+        zip(*sources), key=lambda p: popcount(balls[p[0]] ^ balls[p[1]]))))]
     if node_budget is None and g.vertex_count > DEFAULT_EXACT_CAP:
         node_budget = DEFAULT_NODE_BUDGET
     keep = _cover(g, t, first, second)  # before the targets: a lower peak
@@ -369,35 +368,36 @@ def min_code(g: DeBruijnGraph, t: int,
     everything = (1 << len(targets)) - 1
     for v, row in enumerate(keep):  # complemented in place: `a & ~b` is slow
         keep[v] = everything ^ row  # the targets that miss v
-
-    @cache
-    def spare(i: int) -> int:  # complement of target i's clash mask
-        return reduce(and_, map(keep.__getitem__, bits(targets[i])))
-
-    def bound(unsatisfied: int) -> int:
-        count = 0
-        while unsatisfied:
-            unsatisfied &= spare((unsatisfied & -unsatisfied).bit_length() - 1)
-            count += 1
-        return count
-
-    def children(chosen: int, size: int, unsatisfied: int) -> Iterator:
-        for v in bits(targets[(unsatisfied & -unsatisfied).bit_length() - 1]):
-            yield chosen | 1 << v, size + 1, unsatisfied & keep[v]
-
-    nodes, stack = 0, [iter([(0, 0, everything)])]
-    while stack:
-        chosen, size, unsatisfied = next(stack[-1], (0, best_size, 0))
-        if size >= best_size:  # no child left that could beat the incumbent
+    spare: list = [None] * len(targets)  # complement of each clash mask
+    branch: list = [None] * len(targets)  # (1 << v, keep[v]) for v in target
+    nodes, stack = 0, [(iter([(0, everything)]), 0, 0, everything)]
+    while stack:  # children, parent's chosen, their size, parent's targets
+        children, chosen, size, unsatisfied = stack[-1]
+        step = next(children, None) if size < best_size else None
+        if step is None:  # no child left that could beat the incumbent
             stack.pop()
             continue
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             break  # the stack stays nonempty: not optimal
+        chosen, unsatisfied = chosen | step[0], unsatisfied & step[1]
         if not unsatisfied:
             best, best_size = chosen, size
-        elif size + bound(unsatisfied) < best_size:
-            stack.append(children(chosen, size, unsatisfied))
+            continue
+        rest, count = unsatisfied, size + 1  # its first target is packed
+        while count < best_size:  # expand iff the packing ends first
+            i = rest.bit_length() - 1
+            if spare[i] is None:
+                spare[i] = reduce(and_, map(keep.__getitem__,
+                                            bits(targets[i])))
+            rest &= spare[i]
+            if not rest:
+                i = unsatisfied.bit_length() - 1
+                if branch[i] is None:
+                    branch[i] = [(1 << v, keep[v]) for v in bits(targets[i])]
+                stack.append((iter(branch[i]), chosen, size + 1, unsatisfied))
+                break
+            count += 1
     return MinCodeResult(best, best_size, optimal=not stack, nodes=nodes)
 
 

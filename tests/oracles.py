@@ -3,7 +3,9 @@
 These work on plain Python strings and dict adjacency and deliberately share
 no code with the package (which works on packed integers and bitmasks), so
 the two can check each other.  Only d <= 10 is supported here; that covers
-every reference case.
+every reference case.  The exception is `reference_search`, which takes the
+package's target bitsets, so that a search can be checked node for node,
+but still shares no code with it.
 """
 
 from collections import deque
@@ -97,3 +99,83 @@ def exhaustive_min_code_size(d, n, t):
             if code_is_valid(balls, vs, combo):
                 return k
     return None
+
+
+def reference_search(targets, vertex_count, node_budgets=(None,)):
+    """Branch and bound as `min_code` ran before its packing bound learned to
+    stop at the incumbent's gap, on the targets of `build_constraints`, once
+    per node budget (None for none).
+
+    The targets are sorted by size, stably, and a node's unsatisfied ones
+    are a bitset over those indices.  Greedy (most unhit targets first,
+    smallest vertex on ties) seeds the incumbent.  Every node computes the
+    full packing bound, caching each target's clash mask on first use, and
+    expands iff its size plus the bound is below the incumbent's; it
+    branches on each vertex of its lowest target through one generator per
+    node, depth first.  Returns, per budget, (code, size, optimal, nodes,
+    clash masks built).
+    """
+    targets = sorted(targets, key=lambda target: bin(target).count("1"))
+    members = []
+    for target in targets:
+        members.append([])
+        while target:
+            members[-1].append((target & -target).bit_length() - 1)
+            target &= target - 1
+    everything = (1 << len(targets)) - 1
+    rows = [bytearray(len(targets) // 8 + 1) for _ in range(vertex_count)]
+    for i, vs in enumerate(members):
+        for v in vs:
+            rows[v][i >> 3] |= 1 << (i & 7)
+    cover = [int.from_bytes(row, "little") for row in rows]
+    greedy, unhit = 0, everything
+    while unhit:
+        v = max(range(vertex_count),
+                key=lambda v: (bin(cover[v] & unhit).count("1"), -v))
+        greedy, unhit = greedy | 1 << v, unhit & ~cover[v]
+    keep = [everything ^ row for row in cover]
+    return [_reference_branch_and_bound(members, keep, greedy, budget)
+            for budget in node_budgets]
+
+
+def _reference_branch_and_bound(members, keep, best, node_budget):
+    everything = (1 << len(members)) - 1
+    best_size = bin(best).count("1")
+    masks = {}
+
+    def lowest(unsatisfied):
+        return (unsatisfied & -unsatisfied).bit_length() - 1
+
+    def spare(i):
+        if i not in masks:
+            mask = everything
+            for v in members[i]:
+                mask &= keep[v]
+            masks[i] = mask
+        return masks[i]
+
+    def bound(unsatisfied):
+        count = 0
+        while unsatisfied:
+            unsatisfied &= spare(lowest(unsatisfied))
+            count += 1
+        return count
+
+    def children(chosen, size, unsatisfied):
+        for v in members[lowest(unsatisfied)]:
+            yield chosen | 1 << v, size + 1, unsatisfied & keep[v]
+
+    nodes, stack = 0, [iter([(0, 0, everything)])]
+    while stack:
+        chosen, size, unsatisfied = next(stack[-1], (0, best_size, 0))
+        if size >= best_size:
+            stack.pop()
+            continue
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            break
+        if not unsatisfied:
+            best, best_size = chosen, size
+        elif size + bound(unsatisfied) < best_size:
+            stack.append(children(chosen, size, unsatisfied))
+    return best, best_size, not stack, nodes, len(masks)

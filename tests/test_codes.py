@@ -23,7 +23,8 @@ from dbic.graph import DeBruijnGraph
 from dbic.strings import DBString, encode
 from dbic.vertexset import mask_of, popcount, to_ids
 
-from oracles import all_strings, ball_strings, code_report, twin_pairs
+from oracles import (all_strings, ball_strings, code_report,
+                     reference_search, twin_pairs)
 
 PAPER_CODE_B23 = ["001", "010", "011", "101"]
 
@@ -580,10 +581,16 @@ def assert_cover(cover, targets, vertex_count):
     assert len(cover) == vertex_count and not wrong, wrong[:10]
 
 
+def search_order(targets):
+    """The targets as `min_code` numbers them: sorted by size, stably, with
+    the first at the top index."""
+    return sorted(targets, key=popcount)[::-1]
+
+
 class TestCoverIndex:
     """The cover index grown from the target pairs by the radius recurrence
     equals the one read off the target bitsets, in build order (greedy) and
-    in size order (`min_code`)."""
+    in size order from the top bit down (`min_code`)."""
 
     # the oracle grid without its twin cell; two dense cells with 2 and 3
     # rounds per run; and cells with 2t >= n, where balls of far-apart
@@ -615,7 +622,7 @@ class TestCoverIndex:
                      targets, g.vertex_count)
         by_build, by_size = self.built_covers(monkeypatch, g, t)
         assert_cover(by_build, targets, g.vertex_count)
-        assert_cover(by_size, sorted(targets, key=popcount), g.vertex_count)
+        assert_cover(by_size, search_order(targets), g.vertex_count)
 
     def test_stripes(self, monkeypatch):
         """Stripes of 128 of the 378 targets of B(3,3) t=2: two full ones
@@ -637,7 +644,7 @@ class TestCoverIndex:
         assert len(widths) == 6 and widths[0::2] == [128, 128, 122]
         by_build, by_size = self.built_covers(monkeypatch, g, t)
         assert_cover(by_build, targets, g.vertex_count)
-        assert_cover(by_size, sorted(targets, key=popcount), g.vertex_count)
+        assert_cover(by_size, search_order(targets), g.vertex_count)
 
 
 class TestGreedyCode:
@@ -782,6 +789,77 @@ class TestPinnedSearch:
             sys.setrecursionlimit(limit)
         assert (code_digest(r.code), r.size, r.optimal, r.nodes) \
             == ("e032c063904e38d0", 101, False, 201)
+
+
+# The comparison grid of earlier solver changes: B(2,1..9), B(3,1..5),
+# B(4,1..4), B(5,1..3) and B(6,1..2) at t = 1..3, plus B(2,10) t=1,2,
+# B(3,6) t=1 and B(2,8) t=7.
+SEARCH_GRID = [(d, n, t) for d, top in [(2, 9), (3, 5), (4, 4), (5, 3), (6, 2)]
+               for n in range(1, top + 1) for t in (1, 2, 3)] + [
+    (2, 10, 1), (2, 10, 2), (3, 6, 1), (2, 8, 7)]
+
+
+def small_cells(max_vertices):
+    return [(d, n, t) for d, n, t in SEARCH_GRID if d ** n <= max_vertices]
+
+
+class TestSearchAgainstReference:
+    """`min_code` against `oracles.reference_search`, the search before its
+    packing bound stopped at the gap: the same code, size, optimality flag
+    and node count mean the same nodes in the same order."""
+
+    @staticmethod
+    def targets_or_none(g, t):
+        try:
+            return build_constraints(g, t)
+        except InfeasibleNoCode:
+            with pytest.raises(InfeasibleNoCode):
+                min_code(g, t)
+            return None
+
+    @pytest.mark.parametrize("d,n,t", small_cells(32))
+    def test_exact(self, d, n, t):
+        g = DeBruijnGraph(d, n)
+        targets = self.targets_or_none(g, t)
+        if targets is not None:
+            r = min_code(g, t)
+            assert r.optimal
+            assert (r.code, r.size, r.optimal, r.nodes) \
+                == reference_search(targets, g.vertex_count)[0][:4]
+
+    @pytest.mark.parametrize("d,n,t", small_cells(256))
+    def test_budgeted(self, d, n, t):
+        g = DeBruijnGraph(d, n)
+        targets = self.targets_or_none(g, t)
+        if targets is not None:
+            budgets = [0, 1, 50, 500]
+            want = reference_search(targets, g.vertex_count, budgets)
+            for budget, result in zip(budgets, want):
+                r = min_code(g, t, node_budget=budget)
+                assert (r.code, r.size, r.optimal, r.nodes) == result[:4]
+
+    # (d, n, t): (nodes, masks built by the reference, masks built now)
+    MASKS = {(2, 5, 1): (119846, 149, 119), (3, 3, 1): (40430, 159, 122)}
+
+    @pytest.mark.parametrize("cell", sorted(MASKS))
+    def test_gap_stop_builds_fewer_clash_masks(self, monkeypatch, cell):
+        """Each clash mask is one `reduce` over its target's vertices; the
+        gap stop skips the masks of targets packed last, nodes unchanged."""
+        d, n, t = cell
+        g = DeBruijnGraph(d, n)
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return functools.reduce(*args)
+
+        monkeypatch.setattr(codes, "reduce", spy)
+        r = min_code(g, t)
+        nodes, reference_masks, masks = self.MASKS[cell]
+        want = reference_search(build_constraints(g, t), g.vertex_count)[0]
+        assert want[3:] == (nodes, reference_masks)
+        assert (r.nodes, len(built)) == (nodes, masks)
+        assert masks < reference_masks
 
 
 class TestMemoryBound:
