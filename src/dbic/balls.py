@@ -18,8 +18,11 @@ dominance is non-strict: run triples with equal middle and outer lengths
 reach vertices that no strictly-dominant triple covers, so they must be
 enumerated too or the union comes up short of the true ball.
 
-Pattern expansions overlap heavily; everything accumulates into one bitset
-because B_t(x) is a set.
+A triple's shape (prefix wildcards, middle slice of x, suffix wildcards)
+depends only on (n, t), so `ball_closed_form` caches each distinct shape's
+integer steps per (d, n, t) and builds no `Pattern`: a pattern is d^a runs
+of d^b consecutive ids, placed from encode(x) by integer arithmetic.  The
+runs overlap heavily, and one mask is built from all of them at the end.
 
 `all_balls` holds one d^n-bit ball per vertex, so it grows quadratically
 in the vertex count; only the hitting-set constraint builder, which needs
@@ -32,6 +35,8 @@ or hashed columns (see codes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
 
 from .errors import InvalidParameters, NotApplicable
 from .graph import DeBruijnGraph
@@ -140,44 +145,72 @@ def enumerate_path_params(t: int) -> list[PathParams]:
     return out
 
 
+def _shape(kind: str, runs: tuple[int, int, int],
+           n: int) -> tuple[int, int, int, int]:
+    """The run-triple algebra: the walk's pattern over a length-n word x as
+    (prefix wildcards, start, end, suffix wildcards), its middle being
+    x.digits[start:end]."""
+    first, middle, last = runs
+    if middle > n:
+        raise NotApplicable(
+            f"{kind} runs {runs} leave no middle segment for n={n}")
+    if kind == FBF:
+        return last, middle - first, n - first, middle - last
+    return middle - last, first, n - middle + first, last
+
+
+@cache
+def _shapes(d: int, n: int, t: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Each distinct pattern of radius t on B(d, n) as (divisor, modulus,
+    run, stride): around a centre id v its ids are d^a runs of `run`
+    consecutive ids, `stride` apart, the first starting at
+    v // divisor % modulus * run."""
+    out = {}
+    for p in enumerate_path_params(t):
+        a, start, end, b = _shape(p.kind, p.runs, n)
+        out[d ** (n - end), d ** (end - start), d ** b, d ** (n - a)] = None
+    return tuple(out)
+
+
 def pattern_for(x: DBString, p: PathParams) -> Pattern:
     """The pattern reached from x by the walk p, per the run-triple algebra.
 
     Raises NotApplicable when the middle segment length would be negative,
     which happens only when the middle run exceeds n (possible when t > n).
     """
-    n = x.n
-    if p.kind == FBF:
-        f, b, g = p.runs
-        if n - b < 0:
-            raise NotApplicable(
-                f"FBF runs {p.runs} leave no middle segment for n={n}"
-            )
-        mid = DBString(x.d, x.digits[b - f:n - f])
-        return Pattern(x.d, g, mid, b - g)
-    b, f, c = p.runs
-    if n - f < 0:
-        raise NotApplicable(
-            f"BFB runs {p.runs} leave no middle segment for n={n}"
-        )
-    mid = DBString(x.d, x.digits[b:n - f + b])
-    return Pattern(x.d, f - c, mid, c)
+    a, start, end, b = _shape(p.kind, p.runs, x.n)
+    return Pattern(x.d, a, DBString(x.d, x.digits[start:end]), b)
 
 
 def ball_bfs(g: DeBruijnGraph, x: int, t: int) -> VertexSet:
     """B_t(x) as a bitset, from the first t+1 layers of the traversal
     kernel; includes x itself."""
-    return mask_of(v for layer in g.bfs_layers(x, t) for v in layer)
+    return mask_of(chain.from_iterable(g.bfs_layers(x, t)))
 
 
 def ball_closed_form(x: DBString, t: int) -> VertexSet:
-    """B_t(x) as {x} union all pattern expansions; must equal ball_bfs."""
+    """B_t(x) as {x} union all pattern expansions; must equal ball_bfs.
+
+    Every id run of every cached shape goes into one little-endian byte
+    buffer, partial bytes by OR and whole bytes by slice assignment."""
     if t < 0:
         raise InvalidParameters("radius must be >= 0", t=t)
-    mask = 1 << encode(x)
-    for p in enumerate_path_params(t):
-        mask |= pattern_for(x, p).expand()
-    return mask
+    v, top = encode(x), x.d ** x.n
+    buf = bytearray((top + 7) >> 3)
+    buf[v >> 3] |= 1 << (v & 7)
+    for divisor, modulus, run, stride in _shapes(x.d, x.n, t):
+        start = v // divisor % modulus * run
+        for first in range(start, top, stride):
+            end = first + run
+            lo, hi = first >> 3, end >> 3
+            if lo == hi:
+                buf[lo] |= (1 << (end & 7)) - (1 << (first & 7))
+                continue
+            buf[lo] |= 0x100 - (1 << (first & 7))
+            buf[lo + 1:hi] = b"\xff" * (hi - lo - 1)
+            if end & 7:
+                buf[hi] |= (1 << (end & 7)) - 1
+    return int.from_bytes(buf, "little")
 
 
 def all_balls(g: DeBruijnGraph, t: int) -> list[VertexSet]:

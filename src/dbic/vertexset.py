@@ -14,11 +14,20 @@ VertexSet = int
 
 
 def mask_of(ids: Iterable[int]) -> VertexSet:
-    """Build a bitmask from an iterable of vertex ids."""
-    mask = 0
+    """Build a bitmask from an iterable of vertex ids.
+
+    The bits go into one little-endian ``bytearray``, read as an int once:
+    one byte update per id, where ``mask |= 1 << v`` would copy the whole
+    mask per id.  A negative id raises ``ValueError``."""
+    ids = list(ids)
+    if not ids:
+        return 0
+    if min(ids) < 0:
+        raise ValueError(f"negative vertex id {min(ids)}")
+    buf = bytearray((max(ids) >> 3) + 1)
     for v in ids:
-        mask |= 1 << v
-    return mask
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
 
 
 def bits(mask: VertexSet) -> Iterator[int]:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from dbic.balls import (BFB, FBF, PathParams, Pattern, all_balls, ball_bfs,
 from dbic.errors import InvalidParameters, NotApplicable
 from dbic.graph import DeBruijnGraph
 from dbic.strings import DBString, decode, encode
-from dbic.vertexset import popcount, to_ids
+from dbic.vertexset import mask_of, popcount, to_ids
 
 from oracles import all_strings, ball_strings
 
@@ -87,6 +89,13 @@ class TestPathParams:
             first, middle, last = p.runs
             assert middle >= 1 and middle >= first and middle >= last
             assert first + middle + last <= 4
+
+    def test_returns_a_fresh_list(self):
+        first = enumerate_path_params(3)
+        want = list(first)
+        first.clear()
+        assert enumerate_path_params(3) == want
+        assert enumerate_path_params(3) is not enumerate_path_params(3)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(InvalidParameters):
@@ -168,6 +177,21 @@ class TestClosedForm:
         with pytest.raises(NotApplicable):
             ball_closed_form(DBString.parse("01", 3), 3)
 
+    def test_names_the_first_walk_past_the_word(self):
+        with pytest.raises(NotApplicable) as info:
+            ball_closed_form(DBString.parse("011", 2), 5)
+        assert str(info.value) == \
+            "FBF runs (0, 4, 0) leave no middle segment for n=3"
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 10)])
+    def test_equals_bfs_on_seeded_vertices(self, d, n):
+        g = DeBruijnGraph(d, n)
+        rng = random.Random(d * 100 + n)
+        for v in (rng.randrange(g.vertex_count) for _ in range(200)):
+            x = decode(v, d, n)
+            for t in range(1, 5):
+                assert ball_closed_form(x, t) == ball_bfs(g, v, t), (str(x), t)
+
     @pytest.mark.parametrize("d,n,t", [
         (2, 2, 1), (2, 4, 2), (2, 5, 3), (2, 6, 2),
         (3, 2, 2), (3, 3, 2), (3, 4, 3), (3, 5, 2),
@@ -190,6 +214,38 @@ class TestClosedForm:
         assert ball & ball_bfs(g, v, t + 1) == ball  # monotone in t
         w = data.draw(st.integers(0, g.vertex_count - 1))
         assert bool((ball >> w) & 1) == bool((ball_bfs(g, w, t) >> v) & 1)
+
+
+def or_loop(ids):
+    """Reference for mask_of: one OR per id."""
+    mask = 0
+    for v in ids:
+        mask |= 1 << v
+    return mask
+
+
+class TestMaskOf:
+    @pytest.mark.parametrize("ids", [
+        [], [0], [7], [8], [5, 5, 5], [70000, 3, 9, 3, 64, 0, 15, 16],
+        list(range(40, 0, -3)),
+    ])
+    def test_matches_or_loop(self, ids):
+        assert mask_of(ids) == or_loop(ids)
+
+    def test_consumes_a_generator_once(self):
+        assert mask_of(v * v for v in range(30)) == \
+            or_loop(v * v for v in range(30))
+        assert mask_of(iter([])) == 0
+
+    def test_random_ids(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            ids = [rng.randrange(3000) for _ in range(rng.randrange(40))]
+            assert mask_of(ids) == or_loop(ids)
+
+    def test_rejects_a_negative_id(self):
+        with pytest.raises(ValueError):
+            mask_of([3, -1, 5])
 
 
 class TestPrefixSet:
