@@ -5,19 +5,27 @@ sets B_t(x) & S coincide.  Twins (vertices with identical balls) are the
 sole obstruction to existence.
 
 Twin detection and code verification label every vertex exactly by
-B_t(v), or B_t(v) & S, in one loop over the all-sources kernel
-`DeBruijnGraph.grow_rows`: each vertex sets some columns in its start row
-(none outside S), and t rounds of the radius recurrence leave in row v the
-OR of the start rows of B_t(v), a function of that set.  A ball holds at
-most m = min(N, sum over k <= t of (2d)^k) ids.  When W = max(90, 4m) < N,
-every vertex sets 2 of W columns, fixed-seed random words scaled to W by
-one big-int product, and rows that collide are confirmed by the sorted ids
-of breadth-first balls; otherwise each has a column of its own.  Memory is
-one stripe of `ROW_STRIPE_BYTES` of rows.  Each stripe splits the classes
-by the pair (label so far, row), and none runs once all labels are nonzero
-and distinct.  Several exact stripes take the columns in a fixed-seed
-random order, so that each samples all of V and the first can get there
-at once.  For t >= n every ball is V (the diameter is n).
+B_t(v), or B_t(v) & S, from the all-sources kernel: each vertex sets some
+columns in its start row (none outside S), and t rounds of the radius
+recurrence leave in row v the OR of the start rows of B_t(v), a function
+of that set.  A ball holds at most m = min(N, sum over k <= t of (2d)^k)
+ids, and the rows take one of three layouts:
+- 4m >= N: each vertex has a column of its own, so equal rows are equal
+  sets, on `DeBruijnGraph.grow_rows`.
+- 4m < N and m <= 64: one 64-bit word per vertex on
+  `DeBruijnGraph.grow_words`, each vertex setting a random column of the
+  low 32 and one of the high 32.  No vertex shared a word at m <= 85 on
+  B(2,16), B(3,10), B(4,8) and B(32,2); 0.55-83% did at m = 97-157 and
+  38-97% at m = 211-341.
+- otherwise each vertex sets 2 of W = 4m columns on `grow_rows`,
+  fixed-seed random words scaled to W by one big-int product.
+Hashed rows that collide are confirmed by the sorted ids of breadth-first
+balls, run only for the vertices that share a row.  Wide rows go in
+stripes of `ROW_STRIPE_BYTES`; each stripe splits the classes by the pair
+(label so far, row), and none runs once all labels are nonzero and
+distinct.  Several exact stripes take the columns in a fixed-seed random
+order, so that each samples all of V and the first can get there at once.
+For t >= n every ball is V (the diameter is n).
 
 Both search routines run on the hitting-set reformulation: S is valid iff
 it intersects every ball and every symmetric difference of balls of
@@ -38,7 +46,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import and_, or_
 from typing import Iterator
 
@@ -60,10 +68,15 @@ MAX_TARGET_BYTES = 2 ** 30
 ROW_STRIPE_BYTES = 2 ** 26
 # The cover index is grown this many targets (a multiple of 8) at a time.
 COVER_STRIPE_BITS = 2 ** 13
-# Rows take 2 of W = max(HASH_MIN_COLUMNS, HASH_COLUMNS_PER_ID * m) hashed
-# columns if W < N (90 bits: three 30-bit int digits), else one per vertex.
-HASH_MIN_COLUMNS = 90
+# Rows take 2 of W = HASH_COLUMNS_PER_ID * m hashed columns if W < N, else
+# one per vertex; hashed rows of balls of at most WORD_MAX_BALL ids take one
+# 64-bit word per vertex (the collision figures are in the docstring).
 HASH_COLUMNS_PER_ID = 4
+WORD_MAX_BALL = 64
+# Byte k of a start word is bit b & 7 where (b >> 3) & 3 is k & 3: a random
+# byte b sets column b & 31 of the low 32 columns (k < 4) or the high 32.
+_WORD_BYTES = [(bytes(8 * (k & 3)) + bytes(1 << i for i in range(8))
+                + bytes(24 - 8 * (k & 3))) * 8 for k in range(8)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,6 +128,11 @@ def _ball_ids(g: DeBruijnGraph, v: int, t: int) -> list[int]:
     return [w for layer in g.bfs_layers(v, t) for w in layer]
 
 
+def _ball_bound(g: DeBruijnGraph, r: int) -> int:
+    """m = min(N, sum over k <= r of (2d)^k), at least |B_r(v)| for all v."""
+    return min(g.vertex_count, sum((2 * g.d) ** k for k in range(r + 1)))
+
+
 def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
              ) -> list[int]:
     """A label per vertex for B_t(v), or for B_t(v) & code: equal labels
@@ -123,9 +141,13 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
     count = g.vertex_count
     if t >= g.n:  # the diameter is n, so every ball is V
         return [0 if code == 0 else 1] * count
-    m = min(count, sum((2 * g.d) ** k for k in range(t + 1)))
-    width = max(HASH_MIN_COLUMNS, HASH_COLUMNS_PER_ID * m)
+    m = _ball_bound(g, t)
+    width = HASH_COLUMNS_PER_ID * m
     exact = width >= count
+    member = None if code is None else code.to_bytes(-(-count // 8), "little")
+    if not exact and m <= WORD_MAX_BALL:  # 2 of 64 columns, one word each
+        rows = g.grow_words(_start_words(count, code), t)
+        return _confirm(g, t, rows, member)
     step = max(1, ROW_STRIPE_BYTES * 8 // count)
     if exact:  # a column per vertex: equal rows are equal sets
         width, columns = count, [list(range(count))]
@@ -138,14 +160,48 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
         columns = [array("I", ((rng.getrandbits(64 * count) & low) * width
                                ).to_bytes(8 * count, sys.byteorder))[top::2]
                    for _ in range(2)]
-    member = None
-    if code is not None:  # a vertex outside the code sets no column
-        member = code.to_bytes(-(-count // 8), "little")
+    if member is not None:  # a vertex outside the code sets no column
         columns = [array("I", [c if member[v >> 3] >> (v & 7) & 1 else width
                                for v, c in enumerate(col)])
                    for col in columns]
     labels = _stripe_labels(g, t, columns, width, step)
-    return labels if exact else _confirm(g, t, labels, member)
+    if exact or labels[-1] == count:  # exact, or every label its own
+        return labels
+    return _confirm(g, t, labels, member)
+
+
+def _start_words(count: int, code: VertexSet | None) -> array:
+    """One-word start rows: each vertex sets a fixed-seed random column of
+    the low 32 and one of the high 32, from two random bytes put through
+    `_WORD_BYTES`, and a vertex outside the code sets none.  Lane v is
+    bytes 8v..8v+7, so no Python operation runs per vertex."""
+    lanes = bytearray(8 * count)  # first: a graph too big fails here
+    rng = random.Random(0)
+    picks = [rng.randbytes(count), rng.randbytes(count)]
+    for k, table in enumerate(_WORD_BYTES):
+        lanes[k::8] = picks[k >> 2].translate(table)
+    if code is not None:  # byte 0xff per member, from its binary digits
+        flags = format(code, f"0{count}b")[::-1].encode().translate(
+            bytes.maketrans(b"01", b"\0\xff"))
+        keep = bytearray(8 * count)
+        for k in range(8):
+            keep[k::8] = flags
+        lanes = (int.from_bytes(lanes, "little")
+                 & int.from_bytes(keep, "little")).to_bytes(8 * count,
+                                                           "little")
+    return array("Q", lanes)
+
+
+def _row_labels(rows, distinct: int | None = None) -> list[int]:
+    """Label 0 for a zero row, the others from 1 in order of first
+    appearance.  `distinct` counts the distinct nonzero rows, if the caller
+    has; N of them need no dict of labels."""
+    if distinct is None:
+        distinct = len(set(rows)) - (0 in rows)
+    if distinct == len(rows):
+        return list(range(1, len(rows) + 1))
+    ids = {0: 0}
+    return [ids.setdefault(row, len(ids)) for row in rows]
 
 
 def _stripe_labels(g: DeBruijnGraph, t: int, columns: list, width: int,
@@ -164,43 +220,44 @@ def _stripe_labels(g: DeBruijnGraph, t: int, columns: list, width: int,
         del bit
         rows = g.grow_rows(rows, t)
         if lo == 0:  # keyed by the row itself: no new object per vertex
-            if 0 not in rows and len(set(rows)) == count:
-                return list(range(1, count + 1))  # and no dict of labels
-            ids = {0: 0}
-            labels = [ids.setdefault(row, len(ids)) for row in rows]
+            labels = _row_labels(rows)
         else:
             ids = {(0, 0): 0}  # empty so far stays label 0
             labels = [ids.setdefault((a, row), len(ids))
                       for a, row in zip(labels, rows)]
-        if len(ids) > count:  # N labels besides 0, so one per vertex
+            del ids
+        if labels[-1] == count:  # N labels besides 0, so one per vertex
             break
-        del rows, ids  # the next stripe's rounds need none of these rows
+        del rows  # the next stripe's rounds need none of these rows
     return labels
 
 
-def _confirm(g: DeBruijnGraph, t: int, labels: list[int],
-             member: bytes | None) -> list[int]:
-    """Hashed labels made exact: a nonzero label shared by several
-    vertices is split by the sorted ids of each one's set, and the labels
-    renumbered in order of first appearance."""
-    if max(labels) == len(labels) - labels.count(0):
-        return labels  # every nonempty set has a label of its own
-    sizes = Counter(labels)
-    ids: dict = {0: 0}
-    out = []
-    for v, a in enumerate(labels):
-        if a and sizes[a] > 1:
+def _confirm(g: DeBruijnGraph, t: int, rows, member: bytes | None
+             ) -> list[int]:
+    """Exact labels from hashed rows (or hashed labels), as `_row_labels`
+    gives them: a nonzero row that several vertices share is split by the
+    sorted ids of each one's set, so only those vertices run a BFS."""
+    sizes = Counter(rows)
+    distinct = len(sizes) - (0 in sizes)
+    if len(sizes) < len(rows):
+        shared = {row for row, k in sizes.items() if k > 1 and row}
+        keys = {}
+        for v in compress(range(len(rows)), map(shared.__contains__, rows)):
             ball = _ball_ids(g, v, t)
             if member is not None:
                 ball = [w for w in ball if member[w >> 3] >> (w & 7) & 1]
-            a = (a, array("q", sorted(ball)).tobytes())  # exact key
-        out.append(ids.setdefault(a, len(ids)))
-    return out
+            keys[v] = (rows[v], array("q", sorted(ball)).tobytes())
+        distinct += len(set(keys.values())) - len(shared)
+        if distinct < len(rows):  # labels to number: the split rows
+            rows = list(rows)
+            for v, key in keys.items():
+                rows[v] = key
+    return _row_labels(rows, distinct)
 
 
 def _pairs(labels: list[int]) -> Iterator[tuple[int, int]]:
     """Every pair x < y of vertices with equal labels, in sorted order."""
-    if max(labels) == len(labels):
+    if labels[-1] == len(labels):
         return  # the labels are 1..N, so no two match
     sizes = Counter(labels)
     classes: dict[int, list[int]] = {}
@@ -276,7 +333,7 @@ def _constraints(g: DeBruijnGraph, t: int) -> tuple[list, array, array]:
     # |B_r| <= sum_{k<=r} (2d)^k and no distance exceeds n, so there are at
     # most N + N(m-1)/2 targets of N bits each.
     count = g.vertex_count
-    m = min(count, sum((2 * g.d) ** k for k in range(min(2 * t, g.n) + 1)))
+    m = _ball_bound(g, min(2 * t, g.n))
     size = count * (count + count * (m - 1) // 2) // 8
     if size > MAX_TARGET_BYTES:
         raise InvalidParameters(

@@ -8,21 +8,26 @@ Self-loops (at the constant words a^n) are stripped from the neighbor
 relation, since they never affect distances, balls, or identification, but
 they are reported via has_loop() and drawn by the DOT export.
 
-The package has two traversal kernels.  `DeBruijnGraph.bfs_layers` is a
-layered breadth-first frontier from one source, which single balls,
-distance arrays, eccentricities, the constraint builder, and the exact
-confirmation of hashed twin labels run on.  Its memory is the set of ids
-it has reached, so a radius-t query costs O(|B_t(x)|), not O(d^n).
-`DeBruijnGraph.grow_rows` grows the balls of all sources at once, one
-radius per round, as one int per vertex: the OR of per-vertex start rows
-over each ball.  Started from each vertex's own column it gives the
-whole-graph ball table (`balls.all_balls`); twin detection, code
-verification and the code search's cover index start it from their own
-column maps.
+The package has two traversal kernels, the second in two forms.
+`DeBruijnGraph.bfs_layers` is a layered breadth-first frontier from one
+source, which single balls, distance arrays, eccentricities, the constraint
+builder, and the exact confirmation of hashed twin labels run on.  Its
+memory is the set of ids it has reached, so a radius-t query costs
+O(|B_t(x)|), not O(d^n).  `DeBruijnGraph.grow_rows` grows the balls of all
+sources at once, one radius per round, as one int per vertex: the OR of
+per-vertex start rows over each ball.  Started from each vertex's own column
+it gives the whole-graph ball table (`balls.all_balls`); twin detection,
+code verification and the code search's cover index start it from their own
+column maps.  `DeBruijnGraph.grow_words` is its other form: the same
+recurrence on rows of one 64-bit word each, every row a lane of one
+`array('Q')`, so that a round is a few bulk int and slice operations with
+no Python operation per vertex.  Twin labels of small balls run on it.
 """
 
 from __future__ import annotations
 
+from array import array
+from functools import reduce
 from operator import or_
 from typing import Iterator
 
@@ -169,6 +174,37 @@ class DeBruijnGraph:
                     stride = slice(a + s * d, a + e * d, d)    # v // d
                     rows[block] = map(or_, rows[block], right[s:e])
                     rows[stride] = map(or_, rows[stride], left[s:e])
+        return rows
+
+    def grow_words(self, rows: array, radius: int) -> array:
+        """`grow_rows` on rows of one 64-bit word, the lanes of an
+        `array('Q')`, updated in place and returned.  A round reads the
+        buffer as one int x (lane v is bits 64v..64v+63), ORs the d strided
+        slices rows[a::d] for the blocks and x shifted by a*d^(n-1) lanes
+        for the strides, spreads the latter by d slice assignments and
+        writes x back: no Python operation per vertex.  All of it is
+        bitwise, so the byte order within a lane does not matter."""
+        if radius < 0:
+            raise InvalidParameters("radius must be >= 0", t=radius)
+        d, high, count = self.d, self._suffix_base, self.vertex_count
+        if len(rows) != count or rows.typecode != "Q":
+            raise InvalidParameters("one 64-bit row per vertex is needed",
+                                    rows=len(rows), d=d, n=self.n)
+        block = 64 * high  # bits in d^(n-1) lanes
+        low = (1 << block) - 1
+        spread = array("Q", bytes(8 * count))
+        x = int.from_bytes(rows, "little")
+        for _ in range(min(radius, self.n)):
+            right = reduce(or_, [int.from_bytes(rows[a::d], "little")
+                                 for a in range(d)])
+            left = reduce(or_, [x >> a * block for a in range(d)]) & low
+            left = array("Q", left.to_bytes(8 * high, "little"))
+            for a in range(d):
+                spread[a::d] = left
+            x |= int.from_bytes(spread, "little")
+            for a in range(d):
+                x |= right << a * block
+            memoryview(rows).cast("B")[:] = x.to_bytes(8 * count, "little")
         return rows
 
     def has_loop(self, v: int) -> bool:

@@ -11,7 +11,9 @@ from dbic.balls import (BFB, FBF, PathParams, Pattern, all_balls, ball_bfs,
 from dbic.errors import InvalidParameters, NotApplicable
 from dbic.graph import DeBruijnGraph
 from dbic.strings import DBString, decode, encode
-from dbic.vertexset import mask_of, popcount, to_ids
+from dbic import vertexset
+from dbic.codes import code_strings
+from dbic.vertexset import bits, mask_of, popcount, to_ids
 
 from oracles import all_strings, ball_strings
 
@@ -246,6 +248,54 @@ class TestMaskOf:
     def test_rejects_a_negative_id(self):
         with pytest.raises(ValueError):
             mask_of([3, -1, 5])
+
+
+def plain_ids(mask):
+    """The ids of a nonnegative mask, from its binary digits."""
+    return [v for v, digit in enumerate(reversed(format(mask, "b")))
+            if digit == "1"]
+
+
+class TestBits:
+    """`bits` against a plain loop on both sides of the width at which it
+    switches from taking the lowest bit to scanning the bytes."""
+
+    WIDTHS = [1, 8, 256, vertexset._SCAN_BITS, vertexset._SCAN_BITS + 1,
+              65536, 2 ** 20 + 3]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_single_and_edge_bits(self, width):
+        top = width - 1
+        for mask in [1 << top, 1 | 1 << top, (1 << width) - 1 ^ 1 << top // 2,
+                     0xff << max(0, top - 7)]:
+            assert to_ids(mask) == plain_ids(mask), (width, mask.bit_count())
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_random_masks(self, width):
+        rng = random.Random(width)
+        for k in [1, 3, 40, width // 3]:
+            mask = mask_of(rng.sample(range(width), min(k, width)))
+            mask |= 1 << width - 1
+            assert list(bits(mask)) == plain_ids(mask), (width, k)
+        dense = rng.getrandbits(width) | 1 << width - 1
+        assert to_ids(dense) == plain_ids(dense)
+
+    def test_empty(self):
+        assert to_ids(0) == [] and list(bits(0)) == []
+
+    def test_runs_across_zero_and_full_bytes(self):
+        mask = (0xffff << 9000) | (1 << 40000) | (0xff << 60000) | 1
+        assert to_ids(mask) == plain_ids(mask)
+
+    @pytest.mark.parametrize("mask", [-1, -5, -(1 << 70000)],
+                             ids=["-1", "-5", "wide"])
+    def test_rejects_a_negative_mask(self, mask):
+        with pytest.raises(ValueError):
+            bits(mask)
+        with pytest.raises(ValueError):
+            to_ids(mask)
+        with pytest.raises(ValueError):
+            code_strings(DeBruijnGraph(2, 3), mask)
 
 
 class TestPrefixSet:

@@ -6,14 +6,17 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from array import array
+from functools import reduce
 from itertools import chain
+from operator import or_
 from pathlib import Path
 
 import pytest
 
 import dbic
 from dbic import codes
-from dbic.balls import all_balls
+from dbic.balls import all_balls, ball_bfs
 from dbic.codes import (DEFAULT_EXACT_CAP, CodeReport, TwinPair,
                         build_constraints, code_strings, find_twins,
                         greedy_code, is_identifiable, min_code, verify_code)
@@ -146,38 +149,63 @@ def first_discrete(stripes):
 
 
 class TestClassKernels:
-    """Rows with a column per vertex and rows of hashed columns, confirmed
-    exactly, must give every vertex the label of a per-vertex key, for
-    balls and for their intersections with a code."""
+    """Rows with a column per vertex, rows of hashed columns and rows of
+    one 64-bit word of hashed columns, the last two confirmed exactly, must
+    give every vertex the label of a per-vertex key, for balls and for
+    their intersections with a code."""
 
-    # cells with W = max(90, 4m) < N, the only ones here that take hashed
-    # columns unforced
-    UNFORCED_HASHED = [(2, 10, 2), (3, 6, 2)]
-    CELLS = ORACLE_GRID + [(2, 10, 8), (3, 6, 5)] + UNFORCED_HASHED
+    # cells with 4m < N, the only ones here that take hashed columns
+    # unforced: in one word each for m <= 64, else W = 4m of them
+    UNFORCED_WORDS = [(2, 10, 2), (3, 6, 2)]
+    UNFORCED_HASHED = [(2, 10, 3)]
+    CELLS = ORACLE_GRID + [(2, 10, 8), (3, 6, 5)] + UNFORCED_WORDS \
+        + UNFORCED_HASHED
+    PATHS = ["exact", "hashed", "words"]
 
     @staticmethod
     def confirms(monkeypatch):
-        """Spy on `codes._confirm`, which only the hashed path calls; the
-        list gets one entry per call."""
+        """Spy on `codes._confirm`, which only the hashed paths call: the
+        one-word rows always, the wide ones unless their labels came out
+        all distinct.  The list gets one entry per call."""
         confirmed = []
         confirm = codes._confirm
 
-        def spy(g, t, labels, member):
+        def spy(g, t, rows, member):
             confirmed.append(t)
-            return confirm(g, t, labels, member)
+            return confirm(g, t, rows, member)
 
         monkeypatch.setattr(codes, "_confirm", spy)
         return confirmed
 
+    @staticmethod
+    def kernels(monkeypatch):
+        """Spy on both all-sources kernels; the list gets the name of each
+        one called, once per call."""
+        called = []
+        for name in ("grow_rows", "grow_words"):
+            def spy(self, rows, radius, name=name,
+                    kernel=getattr(DeBruijnGraph, name)):
+                called.append(name)
+                return kernel(self, rows, radius)
+
+            monkeypatch.setattr(DeBruijnGraph, name, spy)
+        return called
+
     @classmethod
-    def force(cls, monkeypatch, path, g):
-        """Take the exact or the hashed path on g whatever the cell: W at
-        least N, or W = N // 2; return the `_confirm` spy's list."""
+    def force(cls, monkeypatch, path, g, width=None):
+        """Take the exact, the wide hashed or the one-word path on g
+        whatever the cell, through the ball bound m that the rule reads:
+        m = N; m = W = `width` (N // 2 by default) with no one-word rows;
+        or m = 1.  Return the `_confirm` spy's list."""
         if path == "exact":
-            monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", 2 ** 62)
+            bound = g.vertex_count
+        elif path == "words":
+            bound = 1
         else:
-            monkeypatch.setattr(codes, "HASH_COLUMNS_PER_ID", 0)
-            monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", g.vertex_count // 2)
+            bound = width or g.vertex_count // 2
+            monkeypatch.setattr(codes, "HASH_COLUMNS_PER_ID", 1)
+            monkeypatch.setattr(codes, "WORD_MAX_BALL", 0)
+        monkeypatch.setattr(codes, "_ball_bound", lambda g, r: bound)
         return cls.confirms(monkeypatch)
 
     @staticmethod
@@ -198,33 +226,44 @@ class TestClassKernels:
     @pytest.mark.parametrize("d,n,t", CELLS)
     def test_rows_match_keys(self, d, n, t, monkeypatch):
         g = DeBruijnGraph(d, n)
-        for path in ["exact", "hashed"]:
+        for path in self.PATHS:
             with monkeypatch.context() as patch:
                 confirmed = self.force(patch, path, g)
+                called = self.kernels(patch)
                 for code in some_codes(g, t):
                     assert codes._classes(g, t, code) \
                         == reference_labels(g, t, code), (path, code)
-                assert len(confirmed) == (5 if path == "hashed" else 0)
+                # the empty code leaves every label 0, so it is confirmed
+                assert len(confirmed) in {"exact": [0], "words": [5],
+                                          "hashed": range(1, 6)}[path]
+                assert set(called) == {
+                    "grow_words" if path == "words" else "grow_rows"}
         labels = codes._classes(g, t)
         assert list(codes._pairs(labels)) == [(p.x, p.y)
                                               for p in find_twins(g, t)]
 
     @pytest.mark.parametrize("d,n,t", CELLS)
     def test_rule_picks_the_path(self, d, n, t, monkeypatch):
-        """Unforced, W < N takes hashed columns, each confirmed, and every
-        other cell a column per vertex."""
+        """Unforced, 4m >= N takes a column per vertex; otherwise m <= 64
+        takes one-word rows and larger m W = 4m hashed columns, each
+        confirmed."""
         g = DeBruijnGraph(d, n)
         confirmed = self.confirms(monkeypatch)
+        called = self.kernels(monkeypatch)
         for code in some_codes(g, t):
             assert codes._classes(g, t, code) \
                 == reference_labels(g, t, code), code
+        words = (d, n, t) in self.UNFORCED_WORDS
         hashed = (d, n, t) in self.UNFORCED_HASHED
-        assert len(confirmed) == (5 if hashed else 0)
+        assert len(confirmed) in (
+            [5] if words else range(1, 6) if hashed else [0])
+        assert set(called) == {"grow_words" if words else "grow_rows"}
 
     def test_hashed_columns_span_w(self, monkeypatch):
-        """B(3,5) t=2 has W = max(90, 4m) = 172 < N = 243, not a power of
-        two: its rows take 2 columns each, drawn from all of 0..W-1."""
-        g = DeBruijnGraph(3, 5)
+        """B(2,10) t=3 has m = 85 > 64 and W = 4m = 340 < N = 1024, not a
+        power of two: its rows take 2 columns each, drawn from all of
+        0..W-1."""
+        g = DeBruijnGraph(2, 10)
         seen = []
         stripe_labels = codes._stripe_labels
 
@@ -233,10 +272,58 @@ class TestClassKernels:
             return stripe_labels(g, t, columns, width, step)
 
         monkeypatch.setattr(codes, "_stripe_labels", spy)
-        assert codes._classes(g, 2) == reference_labels(g, 2)
+        assert codes._classes(g, 3) == reference_labels(g, 3)
         [(width, used)] = seen
-        assert width == 172 and used[0] >= 0 and used[-1] == 171
-        assert len(used) > 140  # 486 draws leave about 10 unused
+        assert width == 340 and used[0] >= 0 and used[-1] == 339
+        assert len(used) > 330  # 2048 draws leave about 1 unused
+
+    @pytest.mark.parametrize("count", [16, 729, 1024])
+    def test_word_start_rows(self, count):
+        """Each member's start word sets one column of the low 32 and one
+        of the high 32, the same ones with or without a code, and a vertex
+        outside the code sets none; the vertices use all 64 columns."""
+        rng = random.Random(count)
+        code = rng.getrandbits(count)
+        free = codes._start_words(count, None)
+        coded = codes._start_words(count, code)
+        assert free.typecode == coded.typecode == "Q"
+        assert len(free) == len(coded) == count
+        for v, word in enumerate(free):
+            assert (word & 0xffffffff).bit_count() == 1
+            assert (word >> 32).bit_count() == 1
+            assert coded[v] == (word if code >> v & 1 else 0)
+        if count >= 729:
+            assert reduce(or_, free) == 2 ** 64 - 1
+        assert codes._start_words(count, None) == free  # fixed seed
+
+    def test_confirm_runs_a_bfs_only_where_rows_are_shared(
+            self, monkeypatch):
+        """Exact labels as rows, but for one false collision: only the
+        vertices with the collided row run a BFS, the labels come out
+        exact, and a zero row (an empty set) runs none.  On B(2,6) t=1,
+        and with a code that leaves vertex 3's set empty."""
+        g, t = DeBruijnGraph(2, 6), 1
+        count = g.vertex_count
+        code = (1 << count) - 1 & ~ball_bfs(g, 3, t)
+        balls = []
+        ball_ids = codes._ball_ids
+
+        def spy(g, v, t):
+            balls.append(v)
+            return ball_ids(g, v, t)
+
+        monkeypatch.setattr(codes, "_ball_ids", spy)
+        for key in (None, code):
+            want = reference_labels(g, t, key)
+            assert want[9] and want[40] and want[9] != want[40]
+            rows = list(want)
+            rows[40] = rows[9]
+            balls.clear()
+            member = None if key is None else key.to_bytes(8, "little")
+            assert codes._confirm(g, t, array("Q", rows), member) == want
+            assert balls == [v for v, a in enumerate(want)
+                             if a in (want[9], want[40])]
+            assert key is None or want[3] == 0
 
     @classmethod
     def small_stripes(cls, monkeypatch, path, g):
@@ -275,10 +362,9 @@ class TestClassKernels:
     def test_hashed_path_in_three_or_more_stripes(self, d, n, t,
                                                   monkeypatch):
         g = DeBruijnGraph(d, n)
-        confirmed = self.force(monkeypatch, "hashed", g)
         # 14 columns (fewer than the 16 vertices of the smallest cells), in
         # 5 stripes of 3, the last one short, so the rows collide often
-        monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", 14)
+        confirmed = self.force(monkeypatch, "hashed", g, width=14)
         monkeypatch.setattr(codes, "ROW_STRIPE_BYTES",
                             -(-3 * g.vertex_count // 8))
         stripes = self.stripes_of(monkeypatch)
@@ -353,8 +439,7 @@ class TestClassKernels:
         """With a single column every nonempty set gets the same row, so
         the exact confirmation alone tells the classes apart."""
         g = DeBruijnGraph(d, n)
-        self.force(monkeypatch, "hashed", g)
-        monkeypatch.setattr(codes, "HASH_MIN_COLUMNS", 1)
+        self.force(monkeypatch, "hashed", g, width=1)
         got = [(g.vertex_string(p.x), g.vertex_string(p.y))
                for p in find_twins(g, t)]
         assert got == twin_pairs(d, n, t)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -156,22 +157,65 @@ class TestBallRows:
 
     @pytest.mark.parametrize("d,n", GRAPHS)
     def test_grow_rows_ors_start_rows_over_each_ball(self, d, n):
+        """Both kernels, `grow_rows` on 5-bit and 64-bit start rows and
+        `grow_words` on the 64-bit ones, against an OR over each ball."""
         g = DeBruijnGraph(d, n)
         rng = random.Random(g.vertex_count)
-        start = [rng.getrandbits(5) for _ in range(g.vertex_count)]
-        for r in range(4):
-            rows = g.grow_rows(list(start), r)
-            want = []
-            for v in range(g.vertex_count):
-                row = 0
-                for w in to_ids(ball_bfs(g, v, r)):
-                    row |= start[w]
-                want.append(row)
-            assert rows == want, r
+        for bits in (5, 64):
+            start = [rng.getrandbits(bits) for _ in range(g.vertex_count)]
+            for r in range(4):
+                want = []
+                for v in range(g.vertex_count):
+                    row = 0
+                    for w in to_ids(ball_bfs(g, v, r)):
+                        row |= start[w]
+                    want.append(row)
+                assert g.grow_rows(list(start), r) == want, (bits, r)
+                if bits == 64:
+                    words = g.grow_words(array("Q", start), r)
+                    assert words.tolist() == want, r
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 10)])
+    def test_grow_words_equals_grow_rows(self, d, n):
+        """On the graphs twin labelling takes one-word rows on, at every
+        radius it uses them for, and one past."""
+        g = DeBruijnGraph(d, n)
+        rng = random.Random(g.vertex_count)
+        start = [rng.getrandbits(64) for _ in range(g.vertex_count)]
+        for r in (1, 2, 3):
+            words = g.grow_words(array("Q", start), r)
+            assert words.tolist() == g.grow_rows(list(start), r), r
 
     def test_grow_rows_needs_a_row_per_vertex(self):
         with pytest.raises(InvalidParameters):
             DeBruijnGraph(2, 3).grow_rows([0] * 7, 1)
+
+    def test_grow_words_needs_a_word_per_vertex(self):
+        g = DeBruijnGraph(2, 3)
+        for rows in (array("Q", [0] * 7), array("Q", [0] * 9),
+                     array("I", [0] * 8)):
+            with pytest.raises(InvalidParameters):
+                g.grow_words(rows, 1)
+
+    def test_grow_words_rejects_negative_radius(self):
+        with pytest.raises(InvalidParameters):
+            DeBruijnGraph(2, 3).grow_words(array("Q", [0] * 8), -1)
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 2), (5, 1)])
+    def test_grow_words_past_the_diameter(self, d, n):
+        """Radius n leaves every word the OR of all start words, and no
+        radius past it changes that; the array is updated in place."""
+        g = DeBruijnGraph(d, n)
+        rng = random.Random(7)
+        start = [rng.getrandbits(64) for _ in range(g.vertex_count)]
+        everything = 0
+        for row in start:
+            everything |= row
+        for r in (n, n + 1, n + 5):
+            rows = array("Q", start)
+            assert g.grow_words(rows, r) is rows
+            assert rows.tolist() == [everything] * g.vertex_count, r
+        assert g.grow_words(array("Q", start), 0).tolist() == start
 
     def test_radius_caps_the_rounds_at_n(self, monkeypatch):
         g = DeBruijnGraph(2, 4)
