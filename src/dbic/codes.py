@@ -16,11 +16,12 @@ ids, and the rows take one of three layouts:
   `DeBruijnGraph.grow_words`, each vertex setting a random column of the
   low 32 and one of the high 32.  No vertex shared a word at m <= 85 on
   B(2,16), B(3,10), B(4,8) and B(32,2); 0.55-83% did at m = 97-157 and
-  38-97% at m = 211-341.
+  38-97% at m = 211-341.  Sharing grows with N: 6 vertices of B(2,19) and
+  0.28% of B(31,4) share a word at t = 1.
 - otherwise each vertex sets 2 of W = 4m columns on `grow_rows`,
   fixed-seed random words scaled to W by one big-int product.
-Hashed rows that collide are confirmed by the sorted ids of breadth-first
-balls, run only for the vertices that share a row.  Wide rows go in
+Hashed labels that collide are confirmed by the sorted ids of the
+breadth-first balls of the vertices that share them.  Wide rows go in
 stripes of `ROW_STRIPE_BYTES`; each stripe splits the classes by the pair
 (label so far, row), and none runs once all labels are nonzero and
 distinct.  Several exact stripes take the columns in a fixed-seed random
@@ -46,7 +47,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from operator import and_, or_
 from typing import Iterator
 
@@ -70,13 +71,18 @@ ROW_STRIPE_BYTES = 2 ** 26
 COVER_STRIPE_BITS = 2 ** 13
 # Rows take 2 of W = HASH_COLUMNS_PER_ID * m hashed columns if W < N, else
 # one per vertex; hashed rows of balls of at most WORD_MAX_BALL ids take one
-# 64-bit word per vertex (the collision figures are in the docstring).
+# 64-bit word per vertex (the collision figures are in the docstring).  On
+# the largest word cells the default cap admits, `check 31 4 1` (m = 63,
+# 0.28% of vertices on shared words) took 1.6 s at 221 MiB against 1.2 s at
+# 155 MiB on wide rows, and `check 3 12 2` (m = 43, none shared) 0.25 s at
+# 67 MiB against 0.72 s at 92 MiB (2-core Xeon).  No benchmark workload
+# runs a cell near the bound on either side.
 HASH_COLUMNS_PER_ID = 4
 WORD_MAX_BALL = 64
 # Byte k of a start word is bit b & 7 where (b >> 3) & 3 is k & 3: a random
 # byte b sets column b & 31 of the low 32 columns (k < 4) or the high 32.
-_WORD_BYTES = [(bytes(8 * (k & 3)) + bytes(1 << i for i in range(8))
-                + bytes(24 - 8 * (k & 3))) * 8 for k in range(8)]
+_WORD_BYTES = [(bytes(8 * k) + bytes(1 << i for i in range(8))
+                + bytes(24 - 8 * k)) * 8 for k in range(4)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,7 +153,7 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
     member = None if code is None else code.to_bytes(-(-count // 8), "little")
     if not exact and m <= WORD_MAX_BALL:  # 2 of 64 columns, one word each
         rows = g.grow_words(_start_words(count, code), t)
-        return _confirm(g, t, rows, member)
+        return _confirm(g, t, _row_labels(rows), member)
     step = max(1, ROW_STRIPE_BYTES * 8 // count)
     if exact:  # a column per vertex: equal rows are equal sets
         width, columns = count, [list(range(count))]
@@ -165,9 +171,7 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
                                for v, c in enumerate(col)])
                    for col in columns]
     labels = _stripe_labels(g, t, columns, width, step)
-    if exact or labels[-1] == count:  # exact, or every label its own
-        return labels
-    return _confirm(g, t, labels, member)
+    return labels if exact else _confirm(g, t, labels, member)
 
 
 def _start_words(count: int, code: VertexSet | None) -> array:
@@ -178,8 +182,8 @@ def _start_words(count: int, code: VertexSet | None) -> array:
     lanes = bytearray(8 * count)  # first: a graph too big fails here
     rng = random.Random(0)
     picks = [rng.randbytes(count), rng.randbytes(count)]
-    for k, table in enumerate(_WORD_BYTES):
-        lanes[k::8] = picks[k >> 2].translate(table)
+    for k in range(8):
+        lanes[k::8] = picks[k >> 2].translate(_WORD_BYTES[k & 3])
     if code is not None:  # byte 0xff per member, from its binary digits
         flags = format(code, f"0{count}b")[::-1].encode().translate(
             bytes.maketrans(b"01", b"\0\xff"))
@@ -192,14 +196,11 @@ def _start_words(count: int, code: VertexSet | None) -> array:
     return array("Q", lanes)
 
 
-def _row_labels(rows, distinct: int | None = None) -> list[int]:
+def _row_labels(rows) -> list[int]:
     """Label 0 for a zero row, the others from 1 in order of first
-    appearance.  `distinct` counts the distinct nonzero rows, if the caller
-    has; N of them need no dict of labels."""
-    if distinct is None:
-        distinct = len(set(rows)) - (0 in rows)
-    if distinct == len(rows):
-        return list(range(1, len(rows) + 1))
+    appearance."""
+    if 0 not in rows and len(set(rows)) == len(rows):
+        return list(range(1, len(rows) + 1))  # and no dict of labels
     ids = {0: 0}
     return [ids.setdefault(row, len(ids)) for row in rows]
 
@@ -232,27 +233,24 @@ def _stripe_labels(g: DeBruijnGraph, t: int, columns: list, width: int,
     return labels
 
 
-def _confirm(g: DeBruijnGraph, t: int, rows, member: bytes | None
-             ) -> list[int]:
-    """Exact labels from hashed rows (or hashed labels), as `_row_labels`
-    gives them: a nonzero row that several vertices share is split by the
-    sorted ids of each one's set, so only those vertices run a BFS."""
-    sizes = Counter(rows)
-    distinct = len(sizes) - (0 in sizes)
-    if len(sizes) < len(rows):
-        shared = {row for row, k in sizes.items() if k > 1 and row}
-        keys = {}
-        for v in compress(range(len(rows)), map(shared.__contains__, rows)):
+def _confirm(g: DeBruijnGraph, t: int, labels: list[int],
+             member: bytes | None) -> list[int]:
+    """Hashed labels made exact: a nonzero label shared by several
+    vertices is split by the sorted ids of each one's set, and the labels
+    renumbered in order of first appearance."""
+    if max(labels) == len(labels) - labels.count(0):
+        return labels  # every nonempty set has a label of its own
+    sizes = Counter(labels)
+    ids: dict = {0: 0}
+    out = []
+    for v, a in enumerate(labels):
+        if a and sizes[a] > 1:
             ball = _ball_ids(g, v, t)
             if member is not None:
                 ball = [w for w in ball if member[w >> 3] >> (w & 7) & 1]
-            keys[v] = (rows[v], array("q", sorted(ball)).tobytes())
-        distinct += len(set(keys.values())) - len(shared)
-        if distinct < len(rows):  # labels to number: the split rows
-            rows = list(rows)
-            for v, key in keys.items():
-                rows[v] = key
-    return _row_labels(rows, distinct)
+            a = (a, array("q", sorted(ball)).tobytes())  # exact key
+        out.append(ids.setdefault(a, len(ids)))
+    return out
 
 
 def _pairs(labels: list[int]) -> Iterator[tuple[int, int]]:

@@ -180,7 +180,7 @@ class DeBruijnGraph:
         """`grow_rows` on rows of one 64-bit word, the lanes of an
         `array('Q')`, updated in place and returned.  A round reads the
         buffer as one int x (lane v is bits 64v..64v+63), ORs the d strided
-        slices rows[a::d] for the blocks and x shifted by a*d^(n-1) lanes
+        slices rows[a::d] for the blocks and the d slices of d^(n-1) lanes
         for the strides, spreads the latter by d slice assignments and
         writes x back: no Python operation per vertex.  All of it is
         bitwise, so the byte order within a lane does not matter."""
@@ -191,13 +191,13 @@ class DeBruijnGraph:
             raise InvalidParameters("one 64-bit row per vertex is needed",
                                     rows=len(rows), d=d, n=self.n)
         block = 64 * high  # bits in d^(n-1) lanes
-        low = (1 << block) - 1
         spread = array("Q", bytes(8 * count))
         x = int.from_bytes(rows, "little")
         for _ in range(min(radius, self.n)):
-            right = reduce(or_, [int.from_bytes(rows[a::d], "little")
-                                 for a in range(d)])
-            left = reduce(or_, [x >> a * block for a in range(d)]) & low
+            right = reduce(or_, (int.from_bytes(rows[a::d], "little")
+                                 for a in range(d)))
+            left = reduce(or_, (int.from_bytes(rows[a * high:(a + 1) * high],
+                                               "little") for a in range(d)))
             left = array("Q", left.to_bytes(8 * high, "little"))
             for a in range(d):
                 spread[a::d] = left

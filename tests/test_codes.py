@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from array import array
 from functools import reduce
 from itertools import chain
 from operator import or_
@@ -16,7 +15,7 @@ import pytest
 
 import dbic
 from dbic import codes
-from dbic.balls import all_balls, ball_bfs
+from dbic.balls import all_balls
 from dbic.codes import (DEFAULT_EXACT_CAP, CodeReport, TwinPair,
                         build_constraints, code_strings, find_twins,
                         greedy_code, is_identifiable, min_code, verify_code)
@@ -164,15 +163,14 @@ class TestClassKernels:
 
     @staticmethod
     def confirms(monkeypatch):
-        """Spy on `codes._confirm`, which only the hashed paths call: the
-        one-word rows always, the wide ones unless their labels came out
-        all distinct.  The list gets one entry per call."""
+        """Spy on `codes._confirm`, which only the hashed paths call; the
+        list gets one entry per call."""
         confirmed = []
         confirm = codes._confirm
 
-        def spy(g, t, rows, member):
+        def spy(g, t, labels, member):
             confirmed.append(t)
-            return confirm(g, t, rows, member)
+            return confirm(g, t, labels, member)
 
         monkeypatch.setattr(codes, "_confirm", spy)
         return confirmed
@@ -233,9 +231,7 @@ class TestClassKernels:
                 for code in some_codes(g, t):
                     assert codes._classes(g, t, code) \
                         == reference_labels(g, t, code), (path, code)
-                # the empty code leaves every label 0, so it is confirmed
-                assert len(confirmed) in {"exact": [0], "words": [5],
-                                          "hashed": range(1, 6)}[path]
+                assert len(confirmed) == (0 if path == "exact" else 5)
                 assert set(called) == {
                     "grow_words" if path == "words" else "grow_rows"}
         labels = codes._classes(g, t)
@@ -255,8 +251,7 @@ class TestClassKernels:
                 == reference_labels(g, t, code), code
         words = (d, n, t) in self.UNFORCED_WORDS
         hashed = (d, n, t) in self.UNFORCED_HASHED
-        assert len(confirmed) in (
-            [5] if words else range(1, 6) if hashed else [0])
+        assert len(confirmed) == (5 if words or hashed else 0)
         assert set(called) == {"grow_words" if words else "grow_rows"}
 
     def test_hashed_columns_span_w(self, monkeypatch):
@@ -295,35 +290,6 @@ class TestClassKernels:
         if count >= 729:
             assert reduce(or_, free) == 2 ** 64 - 1
         assert codes._start_words(count, None) == free  # fixed seed
-
-    def test_confirm_runs_a_bfs_only_where_rows_are_shared(
-            self, monkeypatch):
-        """Exact labels as rows, but for one false collision: only the
-        vertices with the collided row run a BFS, the labels come out
-        exact, and a zero row (an empty set) runs none.  On B(2,6) t=1,
-        and with a code that leaves vertex 3's set empty."""
-        g, t = DeBruijnGraph(2, 6), 1
-        count = g.vertex_count
-        code = (1 << count) - 1 & ~ball_bfs(g, 3, t)
-        balls = []
-        ball_ids = codes._ball_ids
-
-        def spy(g, v, t):
-            balls.append(v)
-            return ball_ids(g, v, t)
-
-        monkeypatch.setattr(codes, "_ball_ids", spy)
-        for key in (None, code):
-            want = reference_labels(g, t, key)
-            assert want[9] and want[40] and want[9] != want[40]
-            rows = list(want)
-            rows[40] = rows[9]
-            balls.clear()
-            member = None if key is None else key.to_bytes(8, "little")
-            assert codes._confirm(g, t, array("Q", rows), member) == want
-            assert balls == [v for v, a in enumerate(want)
-                             if a in (want[9], want[40])]
-            assert key is None or want[3] == 0
 
     @classmethod
     def small_stripes(cls, monkeypatch, path, g):
