@@ -34,7 +34,8 @@ non-twin pairs within distance 2t; pairs farther apart are separated for
 free by their own centers.  Both searches read one per-vertex cover index,
 grown on the same kernel from the pair (x, y) that first gave each target,
 as v lies in B_t(x) iff x lies in B_t(v).  `min_code` works on bitsets over
-the targets sorted by size, the smallest at the top bit: a child is one AND,
+the targets sorted by size, the smallest at the top bit, each formed from
+its pair's balls only for its clash mask or branch list: a child is one AND,
 and the packing bound jumps by clash masks up to the incumbent's gap.
 """
 
@@ -59,7 +60,7 @@ from .vertexset import VertexSet, bits, popcount
 DEFAULT_EXACT_CAP = 64
 DEFAULT_NODE_BUDGET = 200_000
 # Code search refuses an instance whose target list could outgrow this many
-# bytes; the cover index takes about as much again (greedy never holds both
+# bytes; the cover index takes about as much again (neither search holds both
 # at once).  Of C targets, the exact search masks (C bits) those its packing
 # reaches short of the gap: 9% on B(2,8..11) t=1 @2000, 53% on B(2,5) t=1.
 MAX_TARGET_BYTES = 2 ** 30
@@ -129,11 +130,6 @@ def _check_t(t: int) -> None:
         raise InvalidParameters("radius must satisfy t >= 1", t=t)
 
 
-def _ball_ids(g: DeBruijnGraph, v: int, t: int) -> list[int]:
-    """Ids of B_t(v), unordered, straight from the traversal kernel."""
-    return [w for layer in g.bfs_layers(v, t) for w in layer]
-
-
 def _ball_bound(g: DeBruijnGraph, r: int) -> int:
     """m = min(N, sum over k <= r of (2d)^k), at least |B_r(v)| for all v."""
     return min(g.vertex_count, sum((2 * g.d) ** k for k in range(r + 1)))
@@ -163,9 +159,10 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
         rng = random.Random(0)  # column (32 random bits * W) >> 32, at once
         low = int.from_bytes(b"\xff\xff\xff\xff\0\0\0\0" * count, "little")
         top = sys.byteorder == "little"  # where each product's top word is
-        columns = [array("I", ((rng.getrandbits(64 * count) & low) * width
-                               ).to_bytes(8 * count, sys.byteorder))[top::2]
-                   for _ in range(2)]
+        draws = (int.from_bytes(_draw(rng, 8 * count), "little")
+                 for _ in range(2))
+        columns = [array("I", ((x & low) * width).to_bytes(
+            8 * count, sys.byteorder))[top::2] for x in draws]
     if member is not None:  # a vertex outside the code sets no column
         columns = [array("I", [c if member[v >> 3] >> (v & 7) & 1 else width
                                for v, c in enumerate(col)])
@@ -181,7 +178,7 @@ def _start_words(count: int, code: VertexSet | None) -> array:
     bytes 8v..8v+7, so no Python operation runs per vertex."""
     lanes = bytearray(8 * count)  # first: a graph too big fails here
     rng = random.Random(0)
-    picks = [rng.randbytes(count), rng.randbytes(count)]
+    picks = [_draw(rng, count), _draw(rng, count)]
     for k in range(8):
         lanes[k::8] = picks[k >> 2].translate(_WORD_BYTES[k & 3])
     if code is not None:  # byte 0xff per member, from its binary digits
@@ -194,6 +191,13 @@ def _start_words(count: int, code: VertexSet | None) -> array:
                  & int.from_bytes(keep, "little")).to_bytes(8 * count,
                                                            "little")
     return array("Q", lanes)
+
+
+def _draw(rng: random.Random, size: int, chunk: int = 1 << 24) -> bytes:
+    """`rng.randbytes(size)` in chunks, as one draw of 2^31 bits overflows;
+    chunks of whole 32-bit words keep the stream of `getrandbits` too."""
+    return b"".join(rng.randbytes(min(chunk, size - lo))
+                    for lo in range(0, size, chunk))
 
 
 def _row_labels(rows) -> list[int]:
@@ -245,9 +249,9 @@ def _confirm(g: DeBruijnGraph, t: int, labels: list[int],
     out = []
     for v, a in enumerate(labels):
         if a and sizes[a] > 1:
-            ball = _ball_ids(g, v, t)
+            ball = chain.from_iterable(g.bfs_layers(v, t))
             if member is not None:
-                ball = [w for w in ball if member[w >> 3] >> (w & 7) & 1]
+                ball = (w for w in ball if member[w >> 3] >> (w & 7) & 1)
             a = (a, array("q", sorted(ball)).tobytes())  # exact key
         out.append(ids.setdefault(a, len(ids)))
     return out
@@ -340,8 +344,8 @@ def _constraints(g: DeBruijnGraph, t: int) -> tuple[list, array, array]:
             d=g.d, n=g.n, t=t)
     balls = all_balls(g, t) + [0]
     pairs = chain(zip(range(count), repeat(count)), (
-        (x, y) for x in range(count)
-        for y in sorted(w for w in _ball_ids(g, x, 2 * t) if w > x)))
+        (x, y) for x in range(count) for y in sorted(
+            w for w in chain.from_iterable(g.bfs_layers(x, 2 * t)) if w > x)))
     targets: dict = {}
     first, second = array("I"), array("I")
     for x, y in pairs:
@@ -415,16 +419,18 @@ def min_code(g: DeBruijnGraph, t: int,
         zip(*sources), key=lambda p: popcount(balls[p[0]] ^ balls[p[1]]))))]
     if node_budget is None and g.vertex_count > DEFAULT_EXACT_CAP:
         node_budget = DEFAULT_NODE_BUDGET
-    keep = _cover(g, t, first, second)  # before the targets: a lower peak
-    targets = [balls[x] ^ balls[y] for x, y in zip(first, second)]
-    del balls, sources, first, second
-    best = _greedy(keep, len(targets))
+    keep = _cover(g, t, first, second)
+
+    def members(i):  # target i's ids, for its clash mask and branch list
+        return bits(balls[first[i]] ^ balls[second[i]])
+
+    best = _greedy(keep, len(first))
     best_size = popcount(best)
-    everything = (1 << len(targets)) - 1
+    everything = (1 << len(first)) - 1
     for v, row in enumerate(keep):  # complemented in place: `a & ~b` is slow
         keep[v] = everything ^ row  # the targets that miss v
-    spare: list = [None] * len(targets)  # complement of each clash mask
-    branch: list = [None] * len(targets)  # (1 << v, keep[v]) for v in target
+    spare: list = [None] * len(first)  # complement of each clash mask
+    branch: list = [None] * len(first)  # (1 << v, keep[v]) for v in target
     nodes, stack = 0, [(iter([(0, everything)]), 0, 0, everything)]
     while stack:  # children, parent's chosen, their size, parent's targets
         children, chosen, size, unsatisfied = stack[-1]
@@ -443,13 +449,12 @@ def min_code(g: DeBruijnGraph, t: int,
         while count < best_size:  # expand iff the packing ends first
             i = rest.bit_length() - 1
             if spare[i] is None:
-                spare[i] = reduce(and_, map(keep.__getitem__,
-                                            bits(targets[i])))
+                spare[i] = reduce(and_, map(keep.__getitem__, members(i)))
             rest &= spare[i]
             if not rest:
                 i = unsatisfied.bit_length() - 1
                 if branch[i] is None:
-                    branch[i] = [(1 << v, keep[v]) for v in bits(targets[i])]
+                    branch[i] = [(1 << v, keep[v]) for v in members(i)]
                 stack.append((iter(branch[i]), chosen, size + 1, unsatisfied))
                 break
             count += 1

@@ -11,17 +11,17 @@ they are reported via has_loop() and drawn by the DOT export.
 The package has two traversal kernels, the second in two forms.
 `DeBruijnGraph.bfs_layers` is a layered breadth-first frontier from one
 source, which single balls, distance arrays, eccentricities, the constraint
-builder, and the exact confirmation of hashed twin labels run on.  Its
-memory is the set of ids it has reached, so a radius-t query costs
-O(|B_t(x)|), not O(d^n).  `DeBruijnGraph.grow_rows` grows the balls of all
-sources at once, one radius per round, as one int per vertex: the OR of
-per-vertex start rows over each ball.  Started from each vertex's own column
-it gives the whole-graph ball table (`balls.all_balls`); twin detection,
-code verification and the code search's cover index start it from their own
-column maps.  `DeBruijnGraph.grow_words` is its other form: the same
-recurrence on rows of one 64-bit word each, every row a lane of one
-`array('Q')`, so that a round is a few bulk int and slice operations with
-no Python operation per vertex.  Twin labels of small balls run on it.
+builder, and the exact confirmation of hashed twin labels run on.  It stops
+at depth n, the diameter; short of that it holds the set of ids it reached,
+so a radius-t query costs O(|B_t(x)|), not O(d^n).  `DeBruijnGraph.grow_rows`
+grows the balls of all sources at once, one radius per round, as one int per
+vertex: the OR of per-vertex start rows over each ball.  Started from each
+vertex's own column it gives the whole-graph ball table (`balls.all_balls`);
+twin detection, code verification and the code search's cover index start
+it from their own column maps.  `DeBruijnGraph.grow_words` is its other
+form: the same recurrence on rows of one 64-bit word each, every row a lane
+of one `array('Q')`, so that a round is a few bulk int and slice operations
+with no Python operation per vertex.  Twin labels of small balls run on it.
 """
 
 from __future__ import annotations
@@ -91,16 +91,17 @@ class DeBruijnGraph:
         Each layer lists its ids once, in discovery order.  Neighbours come
         straight from the shift algebra, (v mod d^(n-1))*d + a and
         v // d + a*d^(n-1); a record of reached ids drops repeats, the
-        source's own loop included.  A bounded traversal keeps that record
-        in a set, so its cost follows |B_radius(source)|, not d^n; a
-        whole-graph traversal reaches every id, and one byte per id is
-        smaller than a set of them.
+        source's own loop included.  The diameter is n, so a radius of None
+        or above n is n, and depth n is yielded but not expanded.  A
+        traversal to depth n reaches every id, and one byte per id is smaller
+        than a set of them; a shorter one keeps a set, costing O(|B_radius|).
         """
         if radius is not None and radius < 0:
             raise InvalidParameters("radius must be >= 0", t=radius)
         self._check_vertex(source)
         d, high, count = self.d, self._suffix_base, self.vertex_count
-        whole = radius is None
+        radius = self.n if radius is None else min(radius, self.n)
+        whole = radius == self.n
         if whole:
             marks = bytearray(count)
             marks[source] = 1

@@ -33,6 +33,18 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def run_capped(*argv):
+    """`dbic argv` in a child process limited to a 1 GiB address space."""
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+             "from dbic.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(dbic.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", child, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=600)
+
+
 class TestGraphCommand:
     def test_stats(self, capsys):
         code, payload = run_json(capsys, "graph", "2", "3")
@@ -130,15 +142,20 @@ class TestCheckCommand:
     def test_out_of_memory_exits_2(self):
         """check 2 30 1 under a raised vertex cap cannot fit in a 1 GiB
         address space: it exits 2 with one error line, not a traceback."""
-        child = ("import resource, sys\n"
-                 "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
-                 "from dbic.cli import main\n"
-                 "sys.exit(main(sys.argv[1:]))\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(dbic.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", child, "check", "2", "30", "1",
-             "--max-vertices", "2000000000"],
-            capture_output=True, text=True, env=env, timeout=600)
+        proc = run_capped("check", "2", "30", "1",
+                          "--max-vertices", "2000000000")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
+
+    def test_hashed_draw_out_of_memory_exits_2(self):
+        """check 2 25 3 takes wide hashed rows, whose random columns for
+        2^25 vertices are 2^31 bits: drawn at once they overflowed (a
+        traceback, exit 1).  Drawn in chunks, the cell runs until memory
+        fails, and exits 2 with one error line."""
+        proc = run_capped("check", "2", "25", "3",
+                          "--max-vertices", "40000000")
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert len(proc.stderr.splitlines()) == 1
@@ -151,14 +168,7 @@ class TestCodeCommand:
         """code 2 16 1 is under the vertex cap, but its target list alone
         would take gigabytes: it must exit 2 inside a 1 GiB address space
         rather than try."""
-        child = ("import resource, sys\n"
-                 "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
-                 "from dbic.cli import main\n"
-                 "sys.exit(main(sys.argv[1:]))\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(dbic.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", child, "code", "2", "16", "1", mode],
-            capture_output=True, text=True, env=env, timeout=600)
+        proc = run_capped("code", "2", "16", "1", mode)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert proc.stdout == ""
@@ -202,15 +212,7 @@ class TestCodeCommand:
         listed, inside a 1 GiB address space."""
         code_file = tmp_path / "code.json"
         code_file.write_text(json.dumps({"code": ["000000000001"]}))
-        child = ("import resource, sys\n"
-                 "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
-                 "from dbic.cli import main\n"
-                 "sys.exit(main(sys.argv[1:]))\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(dbic.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", child, "code", "2", "12", "1",
-             "--verify", str(code_file)],
-            capture_output=True, text=True, env=env, timeout=600)
+        proc = run_capped("code", "2", "12", "1", "--verify", str(code_file))
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == ""
         report = json.loads(proc.stdout)

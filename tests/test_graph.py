@@ -115,6 +115,20 @@ class TestBfsLayers:
         for radius in range(len(full) + 2):
             assert list(g.bfs_layers(5, radius)) == full[:radius + 1]
 
+    @pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 9)]
+                             + [(3, n) for n in range(1, 6)]
+                             + [(4, n) for n in range(1, 5)])
+    def test_diameter_stops_the_traversal(self, d, n):
+        """The diameter is n: no radius, radius n and radius n + 3 give the
+        same layers, at most n + 1 of them, covering every vertex."""
+        g = DeBruijnGraph(d, n)
+        for v in range(g.vertex_count):
+            layers = list(g.bfs_layers(v))
+            assert list(g.bfs_layers(v, n)) == layers
+            assert list(g.bfs_layers(v, n + 3)) == layers
+            assert len(layers) <= n + 1
+            assert sum(map(len, layers)) == g.vertex_count
+
     def test_rejects_bad_radius_and_vertex(self):
         g = DeBruijnGraph(2, 3)
         with pytest.raises(InvalidParameters):
