@@ -7,26 +7,24 @@ sole obstruction to existence.
 Twin detection and code verification label every vertex exactly by
 B_t(v), or B_t(v) & S, from the all-sources kernel: each vertex sets some
 columns in its start row (none outside S), and t rounds of the radius
-recurrence leave in row v the OR of the start rows of B_t(v), a function
-of that set.  A ball holds at most m = min(N, sum over k <= t of (2d)^k)
-ids, and the rows take one of three layouts:
-- 4m >= N: each vertex has a column of its own, so equal rows are equal
-  sets, on `DeBruijnGraph.grow_rows`.
-- 4m < N and m <= 64: one 64-bit word per vertex on
-  `DeBruijnGraph.grow_words`, each vertex setting a random column of the
-  low 32 and one of the high 32.  No vertex shared a word at m <= 85 on
-  B(2,16), B(3,10), B(4,8) and B(32,2); 0.55-83% did at m = 97-157 and
-  38-97% at m = 211-341.  Sharing grows with N: 6 vertices of B(2,19) and
-  0.28% of B(31,4) share a word at t = 1.
-- otherwise each vertex sets 2 of W = 4m columns on `grow_rows`,
-  fixed-seed random words scaled to W by one big-int product.
-Hashed labels that collide are confirmed by the sorted ids of the
-breadth-first balls of the vertices that share them.  Wide rows go in
-stripes of `ROW_STRIPE_BYTES`; each stripe splits the classes by the pair
-(label so far, row), and none runs once all labels are nonzero and
-distinct.  Several exact stripes take the columns in a fixed-seed random
-order, so that each samples all of V and the first can get there at once.
-For t >= n every ball is V (the diameter is n).
+recurrence leave in row v the OR of the start rows of B_t(v), a function of
+that set.  A ball holds at most m = min(N, sum over k <= t of (2d)^k) ids,
+and the rows take one of two layouts:
+- 4m >= N: a column per vertex, so equal rows are equal sets, on
+  `DeBruijnGraph.grow_rows` in stripes of `ROW_STRIPE_BYTES`, which take
+  the columns in a fixed-seed random order so that each samples all of V.
+- 4m < N: one 64-bit word per vertex on `DeBruijnGraph.grow_words`, each
+  vertex setting a random column of the low 32 and one of the high 32, in
+  up to ceil(m / 64) stripes.  Stripe 0 keeps every member, so a zero row
+  is an empty set; a later one keeps about 64 members of a ball.  No vertex
+  shared a stripe-0 word at m <= 85 on B(2,16), B(3,10), B(4,8) and B(32,2);
+  0.55-83% did at m = 97-157, and 6 vertices of B(2,19) at t = 1.  Labels
+  that collide are confirmed by the sorted ids of the breadth-first balls
+  of the vertices that share them.
+Each stripe after the first splits the classes by the pair (label so far,
+row).  Column stripes stop once every vertex has a nonzero label of its
+own, word stripes once every nonzero label is unique or after one that
+splits no class.  For t >= n every ball is V (the diameter is n).
 
 Both search routines run on the hitting-set reformulation: S is valid iff
 it intersects every ball and every symmetric difference of balls of
@@ -43,13 +41,12 @@ from __future__ import annotations
 
 import heapq
 import random
-import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice, repeat
-from operator import and_, or_
+from operator import and_
 from typing import Iterator
 
 from .balls import all_balls
@@ -70,16 +67,8 @@ MAX_TARGET_BYTES = 2 ** 30
 ROW_STRIPE_BYTES = 2 ** 26
 # The cover index is grown this many targets (a multiple of 8) at a time.
 COVER_STRIPE_BITS = 2 ** 13
-# Rows take 2 of W = HASH_COLUMNS_PER_ID * m hashed columns if W < N, else
-# one per vertex; hashed rows of balls of at most WORD_MAX_BALL ids take one
-# 64-bit word per vertex (the collision figures are in the docstring).  On
-# the largest word cells the default cap admits, `check 31 4 1` (m = 63,
-# 0.28% of vertices on shared words) took 1.6 s at 221 MiB against 1.2 s at
-# 155 MiB on wide rows, and `check 3 12 2` (m = 43, none shared) 0.25 s at
-# 67 MiB against 0.72 s at 92 MiB (2-core Xeon).  No benchmark workload
-# runs a cell near the bound on either side.
+# Rows take a column per vertex if HASH_COLUMNS_PER_ID * m >= N, else words.
 HASH_COLUMNS_PER_ID = 4
-WORD_MAX_BALL = 64
 # Byte k of a start word is bit b & 7 where (b >> 3) & 3 is k & 3: a random
 # byte b sets column b & 31 of the low 32 columns (k < 4) or the high 32.
 _WORD_BYTES = [(bytes(8 * k) + bytes(1 << i for i in range(8))
@@ -144,46 +133,50 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
     if t >= g.n:  # the diameter is n, so every ball is V
         return [0 if code == 0 else 1] * count
     m = _ball_bound(g, t)
-    width = HASH_COLUMNS_PER_ID * m
-    exact = width >= count
     member = None if code is None else code.to_bytes(-(-count // 8), "little")
-    if not exact and m <= WORD_MAX_BALL:  # 2 of 64 columns, one word each
-        rows = g.grow_words(_start_words(count, code), t)
-        return _confirm(g, t, _row_labels(rows), member)
+    if HASH_COLUMNS_PER_ID * m < count:  # word stripes, confirmed below
+        labels = _row_labels(g.grow_words(_start_words(count, code), t))
+        for stripe in range(1, -(-m // 64)):
+            classes = max(labels)
+            if classes == count - labels.count(0):
+                break  # every nonempty set has a label of its own
+            labels = _row_labels(g.grow_words(
+                _start_words(count, code, stripe, m), t), labels)
+            if max(labels) == classes:
+                break  # this stripe split no class
+        return _confirm(g, t, labels, member)
+    column = list(range(count))  # a column per vertex: equal rows, equal sets
     step = max(1, ROW_STRIPE_BYTES * 8 // count)
-    if exact:  # a column per vertex: equal rows are equal sets
-        width, columns = count, [list(range(count))]
-        if step < count:  # several stripes, so each samples V
-            random.Random(0).shuffle(columns[0])
-    else:  # 2 hashed columns per vertex: equal rows are confirmed below
-        rng = random.Random(0)  # column (32 random bits * W) >> 32, at once
-        low = int.from_bytes(b"\xff\xff\xff\xff\0\0\0\0" * count, "little")
-        top = sys.byteorder == "little"  # where each product's top word is
-        draws = (int.from_bytes(_draw(rng, 8 * count), "little")
-                 for _ in range(2))
-        columns = [array("I", ((x & low) * width).to_bytes(
-            8 * count, sys.byteorder))[top::2] for x in draws]
+    if step < count:  # several stripes, so each samples V
+        random.Random(0).shuffle(column)
     if member is not None:  # a vertex outside the code sets no column
-        columns = [array("I", [c if member[v >> 3] >> (v & 7) & 1 else width
-                               for v, c in enumerate(col)])
-                   for col in columns]
-    labels = _stripe_labels(g, t, columns, width, step)
-    return labels if exact else _confirm(g, t, labels, member)
+        column = [c if member[v >> 3] >> (v & 7) & 1 else count
+                  for v, c in enumerate(column)]
+    return _stripe_labels(g, t, column, step)
 
 
-def _start_words(count: int, code: VertexSet | None) -> array:
-    """One-word start rows: each vertex sets a fixed-seed random column of
-    the low 32 and one of the high 32, from two random bytes put through
-    `_WORD_BYTES`, and a vertex outside the code sets none.  Lane v is
-    bytes 8v..8v+7, so no Python operation runs per vertex."""
+def _start_words(count: int, code: VertexSet | None, stripe: int = 0,
+                 m: int = 64) -> array:
+    """One-word start rows of a stripe: each vertex sets a fixed-seed random
+    column of the low 32 and one of the high 32, from two random bytes put
+    through `_WORD_BYTES`, and a vertex outside the code sets none.  Stripe
+    s > 0 draws from seed s, and keeps a word only if a third random byte
+    is below 256 * 64 / m, so about 64 members of a ball of m set bits.
+    Lane v is bytes 8v..8v+7, so no Python operation runs per vertex."""
     lanes = bytearray(8 * count)  # first: a graph too big fails here
-    rng = random.Random(0)
+    rng = random.Random(stripe)
     picks = [_draw(rng, count), _draw(rng, count)]
     for k in range(8):
         lanes[k::8] = picks[k >> 2].translate(_WORD_BYTES[k & 3])
-    if code is not None:  # byte 0xff per member, from its binary digits
-        flags = format(code, f"0{count}b")[::-1].encode().translate(
-            bytes.maketrans(b"01", b"\0\xff"))
+    masks = []  # byte 0xff per vertex whose word is kept
+    if code is not None:  # from the code's binary digits
+        masks.append(format(code, f"0{count}b")[::-1].encode().translate(
+            bytes.maketrans(b"01", b"\0\xff")))
+    if stripe:
+        cut = -(-256 * 64 // m)
+        masks.append(_draw(rng, count).translate(b"\xff" * cut
+                                                 + bytes(256 - cut)))
+    for flags in masks:
         keep = bytearray(8 * count)
         for k in range(8):
             keep[k::8] = flags
@@ -195,42 +188,40 @@ def _start_words(count: int, code: VertexSet | None) -> array:
 
 def _draw(rng: random.Random, size: int, chunk: int = 1 << 24) -> bytes:
     """`rng.randbytes(size)` in chunks, as one draw of 2^31 bits overflows;
-    chunks of whole 32-bit words keep the stream of `getrandbits` too."""
+    chunks of whole 32-bit words give the stream of one draw."""
     return b"".join(rng.randbytes(min(chunk, size - lo))
                     for lo in range(0, size, chunk))
 
 
-def _row_labels(rows) -> list[int]:
+def _row_labels(rows, labels: list[int] | None = None) -> list[int]:
     """Label 0 for a zero row, the others from 1 in order of first
-    appearance."""
+    appearance; given `labels`, split their classes by the pair (label,
+    row) instead, so label 0 stays 0 while its row is 0."""
+    if labels is not None:
+        ids = {(0, 0): 0}
+        return [ids.setdefault((a, row), len(ids))
+                for a, row in zip(labels, rows)]
     if 0 not in rows and len(set(rows)) == len(rows):
         return list(range(1, len(rows) + 1))  # and no dict of labels
     ids = {0: 0}
     return [ids.setdefault(row, len(ids)) for row in rows]
 
 
-def _stripe_labels(g: DeBruijnGraph, t: int, columns: list, width: int,
+def _stripe_labels(g: DeBruijnGraph, t: int, column: list[int],
                    step: int) -> list[int]:
     """Label every vertex by the OR over B_t(v) of its members' columns,
     `step` columns at a time: each stripe splits the classes by the pair
     (label, row), until every vertex has a nonzero label of its own.
-    `columns` lists one or two columns per vertex; `width` sets no bit."""
+    Column N sets no bit."""
     count = g.vertex_count
-    for lo in range(0, width, step):
-        hi = min(width, lo + step)
-        bit = [0] * (width + 1)
+    labels = None
+    for lo in range(0, count, step):
+        hi = min(count, lo + step)
+        bit = [0] * (count + 1)
         bit[lo:hi] = [1 << k for k in range(hi - lo)]
-        rows = [map(bit.__getitem__, col) for col in columns]
-        rows = list(map(or_, *rows) if len(rows) > 1 else rows[0])
+        rows = list(map(bit.__getitem__, column))
         del bit
-        rows = g.grow_rows(rows, t)
-        if lo == 0:  # keyed by the row itself: no new object per vertex
-            labels = _row_labels(rows)
-        else:
-            ids = {(0, 0): 0}  # empty so far stays label 0
-            labels = [ids.setdefault((a, row), len(ids))
-                      for a, row in zip(labels, rows)]
-            del ids
+        labels = _row_labels(g.grow_rows(rows, t), labels)
         if labels[-1] == count:  # N labels besides 0, so one per vertex
             break
         del rows  # the next stripe's rounds need none of these rows
@@ -414,6 +405,8 @@ def min_code(g: DeBruijnGraph, t: int,
     stack.  With no budget, graphs above `DEFAULT_EXACT_CAP` vertices get
     `DEFAULT_NODE_BUDGET`; `optimal` reports whether the search completed.
     """
+    if node_budget is not None and node_budget < 0:
+        raise InvalidParameters("node budget must be >= 0", budget=node_budget)
     balls, *sources = _constraints(g, t)
     first, second = [array("I", side) for side in zip(*reversed(sorted(
         zip(*sources), key=lambda p: popcount(balls[p[0]] ^ balls[p[1]]))))]

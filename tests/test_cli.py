@@ -150,10 +150,10 @@ class TestCheckCommand:
         assert proc.stdout == ""
 
     def test_hashed_draw_out_of_memory_exits_2(self):
-        """check 2 25 3 takes wide hashed rows, whose random columns for
-        2^25 vertices are 2^31 bits: drawn at once they overflowed (a
-        traceback, exit 1).  Drawn in chunks, the cell runs until memory
-        fails, and exits 2 with one error line."""
+        """check 2 25 3 takes word stripes on 2^25 vertices, more than a
+        1 GiB address space holds: it exits 2 with one error line.  The
+        wide hashed rows it took before drew 2^31 random bits at once,
+        which overflowed (a traceback, exit 1)."""
         proc = run_capped("check", "2", "25", "3",
                           "--max-vertices", "40000000")
         assert proc.returncode == 2, proc.stderr

@@ -7,8 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from functools import reduce
-from itertools import chain
-from operator import or_
+from operator import and_, or_
 from pathlib import Path
 
 import pytest
@@ -136,35 +135,50 @@ def assert_report(g, t, code, report, failures, collisions):
 
 
 def first_discrete(stripes):
-    """How many of the stripes `TestClassKernels.stripes_of` saw it took
-    until every vertex's grown rows so far were not all 0 and unlike every
-    other vertex's, or None if they never were."""
-    keys = [()] * len(stripes[0][1])
-    for k, (_, grown) in enumerate(stripes, 1):
+    """How many of the stripes of grown rows it took until every vertex's
+    rows so far were not all 0 and unlike every other vertex's, or None if
+    they never were."""
+    keys = [()] * len(stripes[0])
+    for k, grown in enumerate(stripes, 1):
         keys = [key + (row,) for key, row in zip(keys, grown)]
         if all(map(any, keys)) and len(set(keys)) == len(keys):
             return k
     return None
 
 
-class TestClassKernels:
-    """Rows with a column per vertex, rows of hashed columns and rows of
-    one 64-bit word of hashed columns, the last two confirmed exactly, must
-    give every vertex the label of a per-vertex key, for balls and for
-    their intersections with a code."""
+def stripe_stop(stripes):
+    """How many of the word stripes `TestClassKernels.words_of` saw the
+    rule takes: it stops once every vertex whose grown words so far are
+    not all 0 is unlike every other vertex, or once a stripe leaves as
+    many such classes as before, or after the last stripe."""
+    keys, classes = [()] * len(stripes[0]), 0
+    for k, grown in enumerate(stripes, 1):
+        keys = [key + (row,) for key, row in zip(keys, grown)]
+        nonzero = [key for key in keys if any(key)]
+        if len(set(nonzero)) in (len(nonzero), classes):
+            return k
+        classes = len(set(nonzero))
+    return len(stripes)
 
-    # cells with 4m < N, the only ones here that take hashed columns
-    # unforced: in one word each for m <= 64, else W = 4m of them
+
+class TestClassKernels:
+    """Rows with a column per vertex, and one 64-bit word of hashed columns
+    per vertex in one or more stripes, confirmed exactly, must give every
+    vertex the label of a per-vertex key, for balls and for their
+    intersections with a code."""
+
+    # cells with 4m < N, the only ones here that take words unforced: one
+    # stripe for m <= 64, else ceil(m / 64) at most
     UNFORCED_WORDS = [(2, 10, 2), (3, 6, 2)]
-    UNFORCED_HASHED = [(2, 10, 3)]
+    UNFORCED_STRIPES = [(2, 10, 3)]
     CELLS = ORACLE_GRID + [(2, 10, 8), (3, 6, 5)] + UNFORCED_WORDS \
-        + UNFORCED_HASHED
+        + UNFORCED_STRIPES
     PATHS = ["exact", "hashed", "words"]
 
     @staticmethod
     def confirms(monkeypatch):
-        """Spy on `codes._confirm`, which only the hashed paths call; the
-        list gets one entry per call."""
+        """Spy on `codes._confirm`, which only the word paths call; the list
+        gets one entry per call."""
         confirmed = []
         confirm = codes._confirm
 
@@ -190,21 +204,42 @@ class TestClassKernels:
         return called
 
     @classmethod
-    def force(cls, monkeypatch, path, g, width=None):
-        """Take the exact, the wide hashed or the one-word path on g
-        whatever the cell, through the ball bound m that the rule reads:
-        m = N; m = W = `width` (N // 2 by default) with no one-word rows;
-        or m = 1.  Return the `_confirm` spy's list."""
+    def force(cls, monkeypatch, path, g, bound=300):
+        """Take exact columns, hashed words in several stripes or in one on
+        g whatever the cell, through the ball bound m that the rule reads:
+        m = N; m = `bound` (up to 5 stripes by default) with words whatever
+        N is; or m = 1.  Return the `_confirm` spy's list."""
         if path == "exact":
             bound = g.vertex_count
         elif path == "words":
             bound = 1
         else:
-            bound = width or g.vertex_count // 2
-            monkeypatch.setattr(codes, "HASH_COLUMNS_PER_ID", 1)
-            monkeypatch.setattr(codes, "WORD_MAX_BALL", 0)
+            monkeypatch.setattr(codes, "HASH_COLUMNS_PER_ID", 0)
         monkeypatch.setattr(codes, "_ball_bound", lambda g, r: bound)
         return cls.confirms(monkeypatch)
+
+    @staticmethod
+    def words_of(monkeypatch):
+        """Spy on `grow_words`; the list gets the grown words of each call,
+        one stripe each."""
+        stripes = []
+        grow_words = DeBruijnGraph.grow_words
+
+        def spy(self, rows, radius):
+            rows = grow_words(self, rows, radius)
+            stripes.append(list(rows))
+            return rows
+
+        monkeypatch.setattr(DeBruijnGraph, "grow_words", spy)
+        return stripes
+
+    @staticmethod
+    def narrow_words(monkeypatch, columns=2):
+        """Every vertex sets one of the first `columns` columns of each
+        half of its word, so that rows collide in every stripe."""
+        monkeypatch.setattr(codes, "_WORD_BYTES", [
+            bytes(1 << b % columns for b in range(256)) if k == 0
+            else bytes(256) for k in range(4)])
 
     @staticmethod
     def stripes_of(monkeypatch):
@@ -233,44 +268,25 @@ class TestClassKernels:
                         == reference_labels(g, t, code), (path, code)
                 assert len(confirmed) == (0 if path == "exact" else 5)
                 assert set(called) == {
-                    "grow_words" if path == "words" else "grow_rows"}
+                    "grow_rows" if path == "exact" else "grow_words"}
         labels = codes._classes(g, t)
         assert list(codes._pairs(labels)) == [(p.x, p.y)
                                               for p in find_twins(g, t)]
 
     @pytest.mark.parametrize("d,n,t", CELLS)
     def test_rule_picks_the_path(self, d, n, t, monkeypatch):
-        """Unforced, 4m >= N takes a column per vertex; otherwise m <= 64
-        takes one-word rows and larger m W = 4m hashed columns, each
-        confirmed."""
+        """Unforced, 4m >= N takes a column per vertex and 4m < N one-word
+        rows, confirmed, in one stripe for m <= 64 and up to ceil(m / 64)
+        for larger m."""
         g = DeBruijnGraph(d, n)
         confirmed = self.confirms(monkeypatch)
         called = self.kernels(monkeypatch)
         for code in some_codes(g, t):
             assert codes._classes(g, t, code) \
                 == reference_labels(g, t, code), code
-        words = (d, n, t) in self.UNFORCED_WORDS
-        hashed = (d, n, t) in self.UNFORCED_HASHED
-        assert len(confirmed) == (5 if words or hashed else 0)
+        words = (d, n, t) in self.UNFORCED_WORDS + self.UNFORCED_STRIPES
+        assert len(confirmed) == (5 if words else 0)
         assert set(called) == {"grow_words" if words else "grow_rows"}
-
-    def test_hashed_columns_span_w(self, monkeypatch):
-        """B(2,10) t=3 has m = 85 > 64 and W = 4m = 340 < N = 1024, not a
-        power of two: its rows take 2 columns each, drawn from all of
-        0..W-1."""
-        g = DeBruijnGraph(2, 10)
-        seen = []
-        stripe_labels = codes._stripe_labels
-
-        def spy(g, t, columns, width, step):
-            seen.append((width, sorted(set(chain(*columns)))))
-            return stripe_labels(g, t, columns, width, step)
-
-        monkeypatch.setattr(codes, "_stripe_labels", spy)
-        assert codes._classes(g, 3) == reference_labels(g, 3)
-        [(width, used)] = seen
-        assert width == 340 and used[0] >= 0 and used[-1] == 339
-        assert len(used) > 330  # 2048 draws leave about 1 unused
 
     @pytest.mark.parametrize("count", [16, 729, 1024])
     def test_word_start_rows(self, count):
@@ -291,16 +307,38 @@ class TestClassKernels:
             assert reduce(or_, free) == 2 ** 64 - 1
         assert codes._start_words(count, None) == free  # fixed seed
 
+    @pytest.mark.parametrize("m", [65, 256, 1000])
+    def test_later_stripes_keep_about_64_of_m(self, m):
+        """Stripe s > 0 draws its own fixed-seed words, and keeps a
+        member's word with probability about 64 / m (3.9 binomial standard
+        deviations allowed here), and no word of a vertex outside the
+        code."""
+        count = 4096
+        code = random.Random(m).getrandbits(count)
+        assert codes._start_words(count, code, 0, m) \
+            == codes._start_words(count, code)  # stripe 0 keeps them all
+        for stripe in (1, 2):
+            free = codes._start_words(count, None, stripe, m)
+            coded = codes._start_words(count, code, stripe, m)
+            assert codes._start_words(count, None, stripe, m) == free
+            assert free != codes._start_words(count, None, 3 - stripe, m)
+            for v, word in enumerate(free):
+                assert word == 0 or ((word & 0xffffffff).bit_count()
+                                     == (word >> 32).bit_count() == 1)
+                assert coded[v] == (word if code >> v & 1 else 0)
+            kept = sum(map(bool, free))
+            p = -(-256 * 64 // m) / 256
+            assert abs(kept - p * count) < 3.9 * (count * p * (1 - p)) ** .5
+
     @pytest.mark.parametrize("chunk", [4, 8, 12, 1 << 24])
     @pytest.mark.parametrize("count", [1, 13, 729])
     def test_chunked_draws_match_one_draw(self, count, chunk):
         """Two chunked draws in a row give the stream of two one-shot
-        draws, as `randbytes` and as `getrandbits`, whether or not the
-        last chunk is a whole word."""
+        draws, whether or not the last chunk is a whole word."""
         drawn, want = random.Random(count), random.Random(count)
         assert codes._draw(drawn, count, chunk) == want.randbytes(count)
-        assert int.from_bytes(codes._draw(drawn, 8 * count, chunk),
-                              "little") == want.getrandbits(64 * count)
+        assert codes._draw(drawn, 8 * count, chunk) \
+            == want.randbytes(8 * count)
 
     @classmethod
     def small_stripes(cls, monkeypatch, path, g):
@@ -338,25 +376,29 @@ class TestClassKernels:
     @pytest.mark.parametrize("d,n,t", CELLS)
     def test_hashed_path_in_three_or_more_stripes(self, d, n, t,
                                                   monkeypatch):
+        """Words of 4 columns collide in every stripe: with m = 300 (5
+        stripes) and 5000 (79), labels still match with and without codes,
+        after as many stripes as the rule takes."""
         g = DeBruijnGraph(d, n)
-        # 14 columns (fewer than the 16 vertices of the smallest cells), in
-        # 5 stripes of 3, the last one short, so the rows collide often
-        confirmed = self.force(monkeypatch, "hashed", g, width=14)
-        monkeypatch.setattr(codes, "ROW_STRIPE_BYTES",
-                            -(-3 * g.vertex_count // 8))
-        stripes = self.stripes_of(monkeypatch)
-        runs = []
-        for code in some_codes(g, t):
-            stripes.clear()
-            assert codes._classes(g, t, code) \
-                == reference_labels(g, t, code), code
-            runs.append((len(stripes), first_discrete(stripes)))
-        total = runs[1][0]  # the empty code runs every stripe
-        assert total == 5
-        assert all(k == (first or total) for k, first in runs), runs
-        assert confirmed
+        self.narrow_words(monkeypatch)
+        stripes = self.words_of(monkeypatch)
+        for bound in (300, 5000):
+            with monkeypatch.context() as patch:
+                confirmed = self.force(patch, "hashed", g, bound)
+                runs = []
+                for code in some_codes(g, t):
+                    stripes.clear()
+                    assert codes._classes(g, t, code) \
+                        == reference_labels(g, t, code), (bound, code)
+                    runs.append(len(stripes))
+                    assert len(stripes) == stripe_stop(stripes) \
+                        <= -(-bound // 64)
+                assert runs[1] == 1  # the empty code leaves every row 0
+                assert len(confirmed) == 5
+                if t < n - 1:  # balls short of V collide on 4 columns
+                    assert max(runs) > 1, runs
 
-    # hashed rows of small cells collide in every stripe, and are confirmed
+    # exact stripes of N/3 columns, or 5 stripes of words of 16 columns
     @pytest.mark.parametrize("d,n,t,path", [
         (2, 4, 1, "exact"), (4, 2, 1, "exact"),
         (3, 6, 5, "exact"), (2, 10, 2, "exact"), (2, 10, 2, "hashed"),
@@ -364,21 +406,55 @@ class TestClassKernels:
     def test_identifiable_cell_stops_at_first_discrete_stripe(
             self, d, n, t, path, monkeypatch):
         g = DeBruijnGraph(d, n)
-        stripes, total = self.small_stripes(monkeypatch, path, g)
+        if path == "exact":
+            stripes, total = self.small_stripes(monkeypatch, path, g)
+        else:
+            self.force(monkeypatch, path, g)
+            self.narrow_words(monkeypatch, 8)
+            stripes, total = self.words_of(monkeypatch), 5
         assert codes._classes(g, t) == list(range(1, g.vertex_count + 1))
-        assert len(stripes) == first_discrete(stripes) < total
+        grown = stripes if path == "hashed" else [s for _, s in stripes]
+        assert len(stripes) == first_discrete(grown) < total
+        assert len(stripes) > 1 or path == "exact"
 
     @pytest.mark.parametrize("path", ["exact", "hashed"])
     @pytest.mark.parametrize("d,n,t", [(2, 8, 7), (2, 10, 8)])
     def test_twin_cell_runs_every_stripe(self, d, n, t, path, monkeypatch):
+        """Twins keep exact columns going to the last stripe; word stripes,
+        of which there are 79 here, stop at the first that splits no
+        class."""
         g = DeBruijnGraph(d, n)
-        stripes, total = self.small_stripes(monkeypatch, path, g)
+        if path == "exact":
+            stripes, total = self.small_stripes(monkeypatch, path, g)
+        else:
+            self.force(monkeypatch, path, g, 5000)
+            stripes = self.words_of(monkeypatch)
         assert codes._classes(g, t) == reference_labels(g, t)
-        assert len(stripes) == total >= 2
-        assert first_discrete(stripes) is None
-        if path == "exact":  # the first stripe samples V, not a prefix
-            starts = stripes[0][0]
+        grown = stripes if path == "hashed" else [s for _, s in stripes]
+        assert first_discrete(grown) is None
+        if path == "hashed":
+            assert len(stripes) == stripe_stop(stripes) < 79
+        else:
+            assert len(stripes) == total >= 2
+            starts = stripes[0][0]  # the first stripe samples V, not a prefix
             assert starts[-1] - starts[0] > 2 * len(starts)
+
+    @pytest.mark.parametrize("d,n,t", [(2, 10, 3), (3, 6, 2)])
+    def test_collisions_stop_at_first_stripe_that_splits_none(
+            self, d, n, t, monkeypatch):
+        """A sparse code whose identifying sets collide on an identifiable
+        cell stops at the first word stripe that splits no class, before
+        the last of 79, and `_confirm` makes its labels exact."""
+        g = DeBruijnGraph(d, n)
+        rng = random.Random(g.vertex_count)
+        code = reduce(and_, (rng.getrandbits(g.vertex_count)
+                             for _ in range(4)))  # about N/16 vertices
+        self.force(monkeypatch, "hashed", g, 5000)
+        stripes = self.words_of(monkeypatch)
+        want = reference_labels(g, t, code)
+        assert codes._classes(g, t, code) == want
+        assert max(want) < g.vertex_count - want.count(0)  # collisions
+        assert len(stripes) == stripe_stop(stripes) < 79
 
     def test_verify_stops_early_only_on_a_valid_code(self, monkeypatch):
         """The full code of an identifiable cell leaves every vertex a
@@ -391,7 +467,8 @@ class TestClassKernels:
                      if verify_code(g, code & ~(1 << v), t).collisions)
         stripes, total = self.small_stripes(monkeypatch, "exact", g)
         assert verify_code(g, (1 << g.vertex_count) - 1, t).valid
-        assert len(stripes) == first_discrete(stripes) < total
+        assert len(stripes) == first_discrete([s for _, s in stripes]) \
+            < total
         stripes.clear()
         assert not verify_code(g, worse, t).valid
         assert len(stripes) == total
@@ -413,10 +490,13 @@ class TestClassKernels:
 
     @pytest.mark.parametrize("d,n,t", ORACLE_GRID)
     def test_one_hashed_column_matches_oracles(self, d, n, t, monkeypatch):
-        """With a single column every nonempty set gets the same row, so
-        the exact confirmation alone tells the classes apart."""
+        """With every member setting the same columns every nonempty set
+        gets the same row, so the exact confirmation alone tells the
+        classes apart."""
         g = DeBruijnGraph(d, n)
-        self.force(monkeypatch, "hashed", g, width=1)
+        self.force(monkeypatch, "words", g)
+        monkeypatch.setattr(codes, "_WORD_BYTES", [
+            bytes([1]) * 256 if k == 0 else bytes(256) for k in range(4)])
         got = [(g.vertex_string(p.x), g.vertex_string(p.y))
                for p in find_twins(g, t)]
         assert got == twin_pairs(d, n, t)
@@ -747,6 +827,12 @@ class TestMinCode:
             g = DeBruijnGraph(d, n)
             assert min_code(g, t).size <= popcount(greedy_code(g, t))
 
+    @pytest.mark.parametrize("budget", [-1, -5])
+    def test_negative_budget_rejected(self, budget):
+        """A negative budget is refused, not read as the greedy code."""
+        with pytest.raises(InvalidParameters, match="budget"):
+            min_code(DeBruijnGraph(2, 3), 1, node_budget=budget)
+
     def test_budget_exhaustion_returns_incumbent(self):
         g = DeBruijnGraph(2, 3)
         result = min_code(g, 1, node_budget=1)
@@ -933,6 +1019,13 @@ class TestMemoryBound:
     def test_find_twins_peak(self):
         g = DeBruijnGraph(2, 14)
         assert peak_bytes(find_twins, g, 1) < self.LIMIT
+
+    def test_mid_radius_twins_peak(self):
+        """B(2,14) t=5 (m = 1,365) labels on word stripes, one 64-bit word
+        per vertex at a time; 4m = 5,460 hashed columns per row peaked at
+        27.0 MiB here."""
+        assert peak_bytes(is_identifiable, DeBruijnGraph(2, 14), 5) \
+            < self.LIMIT
 
     def test_verify_code_peak(self):
         g = DeBruijnGraph(2, 14)
