@@ -14,8 +14,7 @@ from .graph import DeBruijnGraph, export_dot
 from .metrics import (EccentricityReport, bfs_distances, construct_antipodal,
                       distance, eccentricity, eccentricity_table,
                       radius_diameter)
-from .strings import (DBString, decode, encode, left_shifts, right_shifts,
-                      substring)
+from .strings import DBString, decode, encode
 from .vertexset import VertexSet, bits, mask_of, popcount, to_ids
 
 __version__ = "0.1.0"
@@ -28,10 +27,9 @@ __all__ = [
     "build_constraints", "code_strings", "construct_antipodal", "decode",
     "distance", "eccentricity", "eccentricity_table", "encode",
     "enumerate_path_params", "export_dot", "find_twins", "greedy_code",
-    "is_identifiable", "left_shifts", "mask_of", "min_code", "pattern_for",
-    "popcount", "prefix_bound", "prefix_bound_corrected", "prefix_margin",
-    "prefix_set",
-    "radius_diameter", "right_shifts", "substring", "to_ids", "verify_code",
+    "is_identifiable", "mask_of", "min_code", "pattern_for", "popcount",
+    "prefix_bound", "prefix_bound_corrected", "prefix_margin", "prefix_set",
+    "radius_diameter", "to_ids", "verify_code",
     "CodeVertexOutOfRange", "DbicError", "InfeasibleNoCode",
     "InvalidParameters", "NotApplicable", "VertexParseError",
 ]

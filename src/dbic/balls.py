@@ -28,7 +28,8 @@ runs overlap heavily, and one mask is built from all of them at the end.
 in the vertex count; only the hitting-set constraint builder, which needs
 every ball as a bitset anyway, uses it.  It runs the graph's all-sources
 kernel (`DeBruijnGraph.grow_rows`) from each vertex's own column.  Twin
-detection and code verification run it in stripes of exact columns, or its
+detection, code verification and the cover index run it a stripe of
+columns at a time from source vertices, and twin detection also runs its
 one-word form on hashed columns (see codes).
 """
 

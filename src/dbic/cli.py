@@ -100,13 +100,13 @@ def _graph(args) -> DeBruijnGraph:
     return DeBruijnGraph(args.d, args.n, max_vertices=_max_vertices(args))
 
 
-def _parse_vertex(text: str, g: DeBruijnGraph) -> int:
+def _parse_word(text: str, g: DeBruijnGraph) -> DBString:
     x = DBString.parse(text, g.d)
     if x.n != g.n:
         raise InvalidParameters(
             f"vertex {text!r} has length {x.n}, expected n={g.n}", d=g.d, n=g.n
         )
-    return encode(x)
+    return x
 
 
 def _int_list(spec: str) -> list[int]:
@@ -134,7 +134,7 @@ def cmd_graph(args) -> int:
     g = _graph(args)
     highlight = 0
     if args.highlight:
-        highlight = mask_of(_parse_vertex(s, g)
+        highlight = mask_of(encode(_parse_word(s, g))
                             for s in args.highlight.split(","))
     stats = {
         "d": g.d,
@@ -153,8 +153,8 @@ def cmd_graph(args) -> int:
 
 def cmd_ball(args) -> int:
     g = _graph(args)
-    v = _parse_vertex(args.x, g)
-    x = DBString.parse(args.x, g.d)
+    x = _parse_word(args.x, g)
+    v = encode(x)
     bfs_mask = ball_bfs(g, v, args.t) if args.method != "closed" else None
     closed_mask = ball_closed_form(x, args.t) if args.method != "bfs" else None
     if args.method == "both" and bfs_mask != closed_mask:
@@ -195,7 +195,7 @@ def cmd_code(args) -> int:
                     f"code file {key}={payload[key]} does not match "
                     f"requested {key}={expected}"
                 )
-        code = mask_of(_parse_vertex(s, g) for s in payload["code"])
+        code = mask_of(encode(_parse_word(s, g)) for s in payload["code"])
         report = codes.verify_code(g, code, args.t)
         out = report.to_json(g)
         out.update({"d": g.d, "n": g.n, "t": args.t,
@@ -240,7 +240,7 @@ def cmd_ecc(args) -> int:
                 writer.writerow([g.d, g.n, g.vertex_string(rep.vertex),
                                  rep.eccentricity, g.vertex_string(rep.witness)])
     if args.vertex is not None:
-        rep = metrics.eccentricity(g, _parse_vertex(args.vertex, g))
+        rep = metrics.eccentricity(g, encode(_parse_word(args.vertex, g)))
         _emit({
             "d": g.d, "n": g.n, "vertex": args.vertex,
             "eccentricity": rep.eccentricity,

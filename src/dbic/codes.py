@@ -11,8 +11,9 @@ recurrence leave in row v the OR of the start rows of B_t(v), a function of
 that set.  A ball holds at most m = min(N, sum over k <= t of (2d)^k) ids,
 and the rows take one of two layouts:
 - 4m >= N: a column per vertex, so equal rows are equal sets, on
-  `DeBruijnGraph.grow_rows` in stripes of `ROW_STRIPE_BYTES`, which take
-  the columns in a fixed-seed random order so that each samples all of V.
+  `DeBruijnGraph.grow_rows` in `_column_stripes` of `ROW_STRIPE_BYTES`,
+  which take the columns in a fixed-seed random order so that each samples
+  all of V.
 - 4m < N: one 64-bit word per vertex on `DeBruijnGraph.grow_words`, each
   vertex setting a random column of the low 32 and one of the high 32, in
   up to ceil(m / 64) stripes.  Stripe 0 keeps every member, so a zero row
@@ -30,7 +31,7 @@ Both search routines run on the hitting-set reformulation: S is valid iff
 it intersects every ball and every symmetric difference of balls of
 non-twin pairs within distance 2t; pairs farther apart are separated for
 free by their own centers.  Both searches read one per-vertex cover index,
-grown on the same kernel from the pair (x, y) that first gave each target,
+grown by `_column_stripes` from the pair (x, y) that first gave each target,
 as v lies in B_t(x) iff x lies in B_t(v).  `min_code` works on bitsets over
 the targets sorted by size, the smallest at the top bit, each formed from
 its pair's balls only for its clash mask or branch list: a child is one AND,
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice, repeat
 from operator import and_
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .balls import all_balls
 from .errors import CodeVertexOutOfRange, InfeasibleNoCode, InvalidParameters
@@ -133,53 +134,61 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
     if t >= g.n:  # the diameter is n, so every ball is V
         return [0 if code == 0 else 1] * count
     m = _ball_bound(g, t)
-    member = None if code is None else code.to_bytes(-(-count // 8), "little")
+    flags = None if code is None else format(code, f"0{count}b")[::-1] \
+        .encode().translate(bytes.maketrans(b"01", b"\0\xff"))
     if HASH_COLUMNS_PER_ID * m < count:  # word stripes, confirmed below
-        labels = _row_labels(g.grow_words(_start_words(count, code), t))
+        labels = _row_labels(g.grow_words(_start_words(count, flags), t))
         for stripe in range(1, -(-m // 64)):
             classes = max(labels)
             if classes == count - labels.count(0):
                 break  # every nonempty set has a label of its own
             labels = _row_labels(g.grow_words(
-                _start_words(count, code, stripe, m), t), labels)
+                _start_words(count, flags, stripe, m), t), labels)
             if max(labels) == classes:
                 break  # this stripe split no class
-        return _confirm(g, t, labels, member)
-    column = list(range(count))  # a column per vertex: equal rows, equal sets
+        return _confirm(g, t, labels, flags)
+    sources = range(count)  # column c starts at vertex sources[c]
     step = max(1, ROW_STRIPE_BYTES * 8 // count)
     if step < count:  # several stripes, so each samples V
+        column = list(sources)
         random.Random(0).shuffle(column)
-    if member is not None:  # a vertex outside the code sets no column
-        column = [c if member[v >> 3] >> (v & 7) & 1 else count
-                  for v, c in enumerate(column)]
-    return _stripe_labels(g, t, column, step)
+        sources = array("I", bytes(4 * count))  # the inverse of column
+        for v, c in enumerate(column):
+            sources[c] = v
+        del column
+    if flags is not None:  # a vertex outside the code sets no column
+        sources = array("I", (v if flags[v] else count for v in sources))
+    labels = None  # each stripe splits the classes by (label, row)
+    for rows in _column_stripes(g, t, sources, step):
+        labels = _row_labels(rows, labels)
+        del rows  # the next stripe's rounds need none of these rows
+        if labels[-1] == count:  # N labels besides 0, so one per vertex
+            break
+    return labels
 
 
-def _start_words(count: int, code: VertexSet | None, stripe: int = 0,
+def _start_words(count: int, flags: bytes | None, stripe: int = 0,
                  m: int = 64) -> array:
     """One-word start rows of a stripe: each vertex sets a fixed-seed random
     column of the low 32 and one of the high 32, from two random bytes put
-    through `_WORD_BYTES`, and a vertex outside the code sets none.  Stripe
-    s > 0 draws from seed s, and keeps a word only if a third random byte
-    is below 256 * 64 / m, so about 64 members of a ball of m set bits.
+    through `_WORD_BYTES`, and one whose code flag byte is 0 sets none.
+    Stripe s > 0 draws from seed s, and keeps a word only if a third random
+    byte is below 256 * 64 / m, so about 64 members of a ball of m set bits.
     Lane v is bytes 8v..8v+7, so no Python operation runs per vertex."""
     lanes = bytearray(8 * count)  # first: a graph too big fails here
     rng = random.Random(stripe)
     picks = [_draw(rng, count), _draw(rng, count)]
     for k in range(8):
         lanes[k::8] = picks[k >> 2].translate(_WORD_BYTES[k & 3])
-    masks = []  # byte 0xff per vertex whose word is kept
-    if code is not None:  # from the code's binary digits
-        masks.append(format(code, f"0{count}b")[::-1].encode().translate(
-            bytes.maketrans(b"01", b"\0\xff")))
+    masks = [] if flags is None else [flags]  # 0xff: the word is kept
     if stripe:
         cut = -(-256 * 64 // m)
         masks.append(_draw(rng, count).translate(b"\xff" * cut
                                                  + bytes(256 - cut)))
-    for flags in masks:
+    for mask in masks:
         keep = bytearray(8 * count)
         for k in range(8):
-            keep[k::8] = flags
+            keep[k::8] = mask
         lanes = (int.from_bytes(lanes, "little")
                  & int.from_bytes(keep, "little")).to_bytes(8 * count,
                                                            "little")
@@ -207,29 +216,24 @@ def _row_labels(rows, labels: list[int] | None = None) -> list[int]:
     return [ids.setdefault(row, len(ids)) for row in rows]
 
 
-def _stripe_labels(g: DeBruijnGraph, t: int, column: list[int],
-                   step: int) -> list[int]:
-    """Label every vertex by the OR over B_t(v) of its members' columns,
-    `step` columns at a time: each stripe splits the classes by the pair
-    (label, row), until every vertex has a nonzero label of its own.
-    Column N sets no bit."""
+def _column_stripes(g: DeBruijnGraph, t: int, sources: Sequence[int],
+                    step: int) -> Iterator[list[int]]:
+    """`grow_rows` of `step` columns at a time: column k starts at vertex
+    `sources[k]`, repeated sources OR together and source N, the empty
+    ball, sets no bit.  Each stripe's rows are released (by the caller
+    too) before the next stripe's start rows are built."""
     count = g.vertex_count
-    labels = None
-    for lo in range(0, count, step):
-        hi = min(count, lo + step)
-        bit = [0] * (count + 1)
-        bit[lo:hi] = [1 << k for k in range(hi - lo)]
-        rows = list(map(bit.__getitem__, column))
-        del bit
-        labels = _row_labels(g.grow_rows(rows, t), labels)
-        if labels[-1] == count:  # N labels besides 0, so one per vertex
-            break
-        del rows  # the next stripe's rounds need none of these rows
-    return labels
+    for lo in range(0, len(sources), step):
+        rows = [0] * (count + 1)
+        for k, v in enumerate(sources[lo:lo + step]):
+            rows[v] |= 1 << k
+        rows.pop()  # row N, the empty ball's
+        yield g.grow_rows(rows, t)
+        del rows
 
 
 def _confirm(g: DeBruijnGraph, t: int, labels: list[int],
-             member: bytes | None) -> list[int]:
+             flags: bytes | None) -> list[int]:
     """Hashed labels made exact: a nonzero label shared by several
     vertices is split by the sorted ids of each one's set, and the labels
     renumbered in order of first appearance."""
@@ -241,8 +245,8 @@ def _confirm(g: DeBruijnGraph, t: int, labels: list[int],
     for v, a in enumerate(labels):
         if a and sizes[a] > 1:
             ball = chain.from_iterable(g.bfs_layers(v, t))
-            if member is not None:
-                ball = (w for w in ball if member[w >> 3] >> (w & 7) & 1)
+            if flags is not None:
+                ball = filter(flags.__getitem__, ball)
             a = (a, array("q", sorted(ball)).tobytes())  # exact key
         out.append(ids.setdefault(a, len(ids)))
     return out
@@ -351,19 +355,15 @@ def _cover(g: DeBruijnGraph, t: int, first: array, second: array
            ) -> list[int]:
     """Per-vertex index: bit i of `cover[v]` is set iff target i holds v.
     As v lies in B_t(x) iff x lies in B_t(v), and target i is B_t(first[i])
-    ^ B_t(second[i]), it is the XOR of two runs of `grow_rows` from rows
-    with bit i at vertex first[i] and at second[i], a stripe at a time."""
+    ^ B_t(second[i]), it is the XOR of the column stripes started from
+    `first` and from `second`."""
     count, step = g.vertex_count, COVER_STRIPE_BITS
     cover = [bytearray() for _ in range(count)]
-    for lo in range(0, len(first), step):
-        grown = []
-        for sources in (first, second):
-            rows = [0] * (count + 1)  # entry N, the empty ball's, is dropped
-            for k, x in enumerate(sources[lo:lo + step]):
-                rows[x] |= 1 << k
-            grown.append(g.grow_rows(rows[:count], t))
-        for row, a, b in zip(cover, *grown):
+    seconds = _column_stripes(g, t, second, step)
+    for grown in _column_stripes(g, t, first, step):
+        for row, a, b in zip(cover, grown, next(seconds)):
             row += (a ^ b).to_bytes(step // 8, "little")
+        del grown  # the next stripe's rounds need none of these rows
     for v, row in enumerate(cover):  # in place: one row in both forms at once
         cover[v] = int.from_bytes(row, "little")
     return cover

@@ -16,13 +16,13 @@ at depth n, the diameter; short of that it holds the set of ids it reached,
 so a radius-t query costs O(|B_t(x)|), not O(d^n).  `DeBruijnGraph.grow_rows`
 grows the balls of all sources at once, one radius per round, as one int per
 vertex: the OR of per-vertex start rows over each ball.  Started from each
-vertex's own column it gives the whole-graph ball table (`balls.all_balls`)
-and, a stripe at a time, exact twin labels; the code search's cover index
-starts it from its own column map.  `DeBruijnGraph.grow_words` is its other
-form: the same recurrence on rows of one 64-bit word each, every row a lane
-of one `array('Q')`, so that a round is a few bulk int and slice operations
-with no Python operation per vertex.  Hashed twin labels run on it, a
-stripe of words at a time.
+vertex's own column it gives the whole-graph ball table (`balls.all_balls`);
+exact twin labels and the code search's cover index start it a stripe of
+columns at a time, each column at a source vertex (`codes._column_stripes`).
+`DeBruijnGraph.grow_words` is its other form: the same recurrence on rows
+of one 64-bit word each, every row a lane of one `array('Q')`, so that a
+round is a few bulk int and slice operations with no Python operation per
+vertex.  Hashed twin labels run on it, a stripe of words at a time.
 """
 
 from __future__ import annotations

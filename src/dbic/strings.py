@@ -1,4 +1,4 @@
-"""Strings over the alphabet [d] = {0, ..., d-1} and their shift algebra.
+"""Strings over the alphabet [d] = {0, ..., d-1}, their encoding and parser.
 
 A vertex of the de Bruijn graph is a length-n word x1 x2 ... xn.  Indexing is
 1-based in documentation and error messages; internally digits live in a
@@ -34,8 +34,8 @@ def max_length(d: int) -> int:
 class DBString:
     """An immutable word over [d].
 
-    The empty word (n = 0) is permitted so pattern middles and substring
-    results are representable; graph vertices always have n >= 1.
+    The empty word (n = 0) is permitted so that pattern middles are
+    representable; graph vertices always have n >= 1.
     """
 
     d: int
@@ -116,25 +116,3 @@ def decode(v: int, d: int, n: int) -> DBString:
     for i in range(n - 1, -1, -1):
         v, digits[i] = divmod(v, d)
     return DBString(d, tuple(digits))
-
-
-def right_shifts(x: DBString) -> set[DBString]:
-    """All words x2 ... xn a for a in [d]: the directed out-neighbors."""
-    tail = x.digits[1:]
-    return {DBString(x.d, tail + (a,)) for a in range(x.d)}
-
-
-def left_shifts(x: DBString) -> set[DBString]:
-    """All words a x1 ... x(n-1) for a in [d]: the directed in-neighbors."""
-    head = x.digits[:-1]
-    return {DBString(x.d, (a,) + head) for a in range(x.d)}
-
-
-def substring(x: DBString, i: int, j: int) -> DBString:
-    """The segment xi ... xj, 1-based inclusive; empty when i = j + 1."""
-    if not (1 <= i <= j + 1 <= x.n + 1):
-        raise IndexError(
-            f"substring indices i={i}, j={j} invalid for length n={x.n} "
-            f"(need 1 <= i <= j+1 <= n+1)"
-        )
-    return DBString(x.d, x.digits[i - 1:j])

@@ -16,13 +16,26 @@ def all_strings(d, n):
     return ["".join(str(c) for c in p) for p in product(range(d), repeat=n)]
 
 
+def right_shifts(s, d):
+    """All words x2 ... xn a for a in [d]: the directed out-neighbours."""
+    return {s[1:] + a for a in map(str, range(d))}
+
+
+def left_shifts(s, d):
+    """All words a x1 ... x(n-1) for a in [d]: the directed in-neighbours."""
+    return {a + s[:-1] for a in map(str, range(d))}
+
+
+def substring(s, i, j):
+    """The segment xi ... xj, 1-based inclusive; empty when i = j + 1."""
+    if not 1 <= i <= j + 1 <= len(s) + 1:
+        raise IndexError(f"substring indices i={i}, j={j} invalid for"
+                         f" length n={len(s)} (need 1 <= i <= j+1 <= n+1)")
+    return s[i - 1:j]
+
+
 def neighbor_strings(s, d):
-    out = set()
-    for a in map(str, range(d)):
-        out.add(s[1:] + a)
-        out.add(a + s[:-1])
-    out.discard(s)
-    return out
+    return (right_shifts(s, d) | left_shifts(s, d)) - {s}
 
 
 def distances_from(s, d):

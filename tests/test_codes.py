@@ -14,7 +14,7 @@ import pytest
 
 import dbic
 from dbic import codes
-from dbic.balls import all_balls
+from dbic.balls import all_balls, ball_bfs
 from dbic.codes import (DEFAULT_EXACT_CAP, CodeReport, TwinPair,
                         build_constraints, code_strings, find_twins,
                         greedy_code, is_identifiable, min_code, verify_code)
@@ -48,6 +48,11 @@ def peak_bytes(fn, *args):
 
 def code_mask(strings, g):
     return mask_of(encode(DBString.parse(s, g.d)) for s in strings)
+
+
+def flag_bytes(code, count):
+    """The code as one byte per vertex, 0xff for a member, else 0."""
+    return bytes(0xff if code >> v & 1 else 0 for v in range(count))
 
 
 def code_digest(code):
@@ -296,7 +301,7 @@ class TestClassKernels:
         rng = random.Random(count)
         code = rng.getrandbits(count)
         free = codes._start_words(count, None)
-        coded = codes._start_words(count, code)
+        coded = codes._start_words(count, flag_bytes(code, count))
         assert free.typecode == coded.typecode == "Q"
         assert len(free) == len(coded) == count
         for v, word in enumerate(free):
@@ -315,11 +320,12 @@ class TestClassKernels:
         code."""
         count = 4096
         code = random.Random(m).getrandbits(count)
-        assert codes._start_words(count, code, 0, m) \
-            == codes._start_words(count, code)  # stripe 0 keeps them all
+        flags = flag_bytes(code, count)
+        assert codes._start_words(count, flags, 0, m) \
+            == codes._start_words(count, flags)  # stripe 0 keeps them all
         for stripe in (1, 2):
             free = codes._start_words(count, None, stripe, m)
-            coded = codes._start_words(count, code, stripe, m)
+            coded = codes._start_words(count, flags, stripe, m)
             assert codes._start_words(count, None, stripe, m) == free
             assert free != codes._start_words(count, None, 3 - stripe, m)
             for v, word in enumerate(free):
@@ -487,6 +493,29 @@ class TestClassKernels:
         monkeypatch.setattr(DeBruijnGraph, "grow_rows", spy)
         codes._classes(g, 2)
         assert starts == [[1 << v for v in range(g.vertex_count)]]
+
+    def test_column_stripes_start_at_their_sources(self):
+        """Column k of a stripe starts at vertex sources[k]: repeated
+        sources OR their bits, source N sets none, and the stripes tile
+        the sources in order, the last one short.  Bit k of row v is then
+        set iff sources[k] lies in B_t(v)."""
+        g, t = DeBruijnGraph(2, 5), 2
+        count = g.vertex_count
+        sources = [3, 7, 3, count, 0, 31, count, 7, 12]
+
+        def start(bits):  # hand-built start rows, {vertex: row}
+            return [bits.get(v, 0) for v in range(count)]
+
+        want = [g.grow_rows(start({3: 0b0101, 7: 0b0010}), t),
+                g.grow_rows(start({0: 0b0001, 31: 0b0010, 7: 0b1000}), t),
+                g.grow_rows(start({12: 0b0001}), t)]
+        assert list(codes._column_stripes(g, t, sources, 4)) == want
+        words = all_strings(2, 5)
+        for lo, stripe in zip(range(0, len(sources), 4), want):
+            for v, row in enumerate(stripe):
+                ball = ball_strings(words[v], 2, t)
+                assert row == sum(1 << k for k, x in enumerate(
+                    sources[lo:lo + 4]) if x < count and words[x] in ball)
 
     @pytest.mark.parametrize("d,n,t", ORACLE_GRID)
     def test_one_hashed_column_matches_oracles(self, d, n, t, monkeypatch):
@@ -1031,6 +1060,26 @@ class TestMemoryBound:
         g = DeBruijnGraph(2, 14)
         everything = (1 << g.vertex_count) - 1
         assert peak_bytes(verify_code, g, everything, 1) < self.LIMIT
+
+    @pytest.mark.parametrize("path", ["words", "exact"])
+    def test_verify_code_stripes_peak(self, monkeypatch, path):
+        """B(3,8) t=4 with a half code that leaves 00000001 and 10000001
+        colliding, so that the labels never become unique: on word stripes
+        (4m = 6,220 < N), and forced onto exact columns in six stripes of
+        about N/5, all of which run.  Each stripe's rows go before the next
+        one's start rows are built.  The peaks were as given with the exact
+        start rows gathered through a column map; the bound allows 10%
+        above them."""
+        g, t = DeBruijnGraph(3, 8), 4
+        count = g.vertex_count
+        code = random.Random(count).getrandbits(count) \
+            & ~(ball_bfs(g, 1, t) ^ ball_bfs(g, 2188, t))
+        if path == "exact":
+            monkeypatch.setattr(codes, "_ball_bound", lambda g, r: count)
+        monkeypatch.setattr(codes, "ROW_STRIPE_BYTES", count * count // 40)
+        peak = {"words": 1_305_698, "exact": 3_093_286}[path]
+        assert peak_bytes(verify_code, g, code, t) < peak * 11 // 10
+        assert verify_code(g, code, t).collisions == [(1, 2188)]
 
     def test_min_code_peak(self):
         """The search holds one index bitset per open node and one clash
