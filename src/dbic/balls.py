@@ -19,10 +19,11 @@ reach vertices that no strictly-dominant triple covers, so they must be
 enumerated too or the union comes up short of the true ball.
 
 A triple's shape (prefix wildcards, middle slice of x, suffix wildcards)
-depends only on (n, t), so `ball_closed_form` caches each distinct shape's
-integer steps per (d, n, t) and builds no `Pattern`: a pattern is d^a runs
-of d^b consecutive ids, placed from encode(x) by integer arithmetic.  The
-runs overlap heavily, and one mask is built from all of them at the end.
+depends only on (n, t), so `ball_closed_form` caches per (d, n, t) the
+integer steps of each shape that no other contains, and builds no
+`Pattern`: a pattern is d^a runs of d^b consecutive ids, placed from
+encode(x) by integer arithmetic.  The runs still overlap, and one mask is
+built from all of them at the end.
 
 `all_balls` holds one d^n-bit ball per vertex, so it grows quadratically
 in the vertex count; only the hitting-set constraint builder, which needs
@@ -162,14 +163,21 @@ def _shape(kind: str, runs: tuple[int, int, int],
 
 @cache
 def _shapes(d: int, n: int, t: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Each distinct pattern of radius t on B(d, n) as (divisor, modulus,
-    run, stride): around a centre id v its ids are d^a runs of `run`
-    consecutive ids, `stride` apart, the first starting at
-    v // divisor % modulus * run."""
-    out = {}
-    for p in enumerate_path_params(t):
-        a, start, end, b = _shape(p.kind, p.runs, n)
-        out[d ** (n - end), d ** (end - start), d ** b, d ** (n - a)] = None
+    """Each pattern of radius t on B(d, n) that no other contains, as
+    (divisor, modulus, run, stride): around a centre id v its ids are d^a
+    runs of `run` consecutive ids, `stride` apart, the first starting at
+    v // divisor % modulus * run.  Of two shapes at one offset start - a,
+    the one with no fewer leading wildcards and no later end fixes fewer
+    symbols of x, so it contains the other; taken widest first, a shape is
+    kept iff it ends before every one kept at its offset."""
+    shapes = {_shape(p.kind, p.runs, n) for p in enumerate_path_params(t)}
+    least_end: dict[int, int] = {}  # offset -> least end kept there
+    out = []
+    for a, start, end, b in sorted(shapes, key=lambda s: (-s[0], s[2])):
+        if end < least_end.get(start - a, n + 1):
+            least_end[start - a] = end
+            out.append((d ** (n - end), d ** (end - start), d ** b,
+                        d ** (n - a)))
     return tuple(out)
 
 

@@ -139,6 +139,8 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
     if HASH_COLUMNS_PER_ID * m < count:  # word stripes, confirmed below
         labels = _row_labels(g.grow_words(_start_words(count, flags), t))
         for stripe in range(1, -(-m // 64)):
+            if labels[-1] == count:
+                break  # labels 1..N, so every vertex has a set of its own
             classes = max(labels)
             if classes == count - labels.count(0):
                 break  # every nonempty set has a label of its own
@@ -210,7 +212,10 @@ def _row_labels(rows, labels: list[int] | None = None) -> list[int]:
         ids = {(0, 0): 0}
         return [ids.setdefault((a, row), len(ids))
                 for a, row in zip(labels, rows)]
-    if 0 not in rows and len(set(rows)) == len(rows):
+    distinct = set(rows)
+    unique = len(distinct) == len(rows) and 0 not in distinct
+    del distinct  # before the N labels are built
+    if unique:
         return list(range(1, len(rows) + 1))  # and no dict of labels
     ids = {0: 0}
     return [ids.setdefault(row, len(ids)) for row in rows]
@@ -237,7 +242,8 @@ def _confirm(g: DeBruijnGraph, t: int, labels: list[int],
     """Hashed labels made exact: a nonzero label shared by several
     vertices is split by the sorted ids of each one's set, and the labels
     renumbered in order of first appearance."""
-    if max(labels) == len(labels) - labels.count(0):
+    if (labels[-1] == len(labels)
+            or max(labels) == len(labels) - labels.count(0)):
         return labels  # every nonempty set has a label of its own
     sizes = Counter(labels)
     ids: dict = {0: 0}

@@ -4,10 +4,11 @@ vertex construction on B(d, n).
 Distances and eccentricities run on the graph's breadth-first kernel
 (`DeBruijnGraph.bfs_layers`).  An eccentricity is the depth of the last
 layer, so no distance array is held.  The per-vertex table, which names a
-witness for each vertex, runs the kernel once per vertex; radius and
-diameter run it once per orbit of the automorphisms.  Renaming the symbols
-and reading words backwards both keep two words overlapping in n-1
-symbols, so they map B(d, n) onto itself and keep every eccentricity.
+witness for each vertex, runs the kernel once per vertex; the radius runs
+it once per orbit of the automorphisms, cut off at the running radius, and
+the diameter is n.  Renaming the symbols and reading words backwards both
+keep two words overlapping in n-1 symbols, so they map B(d, n) onto itself
+and keep every eccentricity.
 `distance` still runs its own frontier loop, stopping at the first sight
 of its target.
 """
@@ -98,12 +99,25 @@ def _representatives_from(word: list[int], d: int, n: int, value: int,
 
 
 def radius_diameter(g: DeBruijnGraph) -> tuple[int, int]:
-    """(min, max) eccentricity over all vertices, by one BFS per orbit
-    (`orbit_representatives`).  Exact, since an automorphism keeps
-    distances and so gives a whole orbit one eccentricity."""
-    eccs = {eccentricity(g, v).eccentricity
-            for v in orbit_representatives(g.d, g.n)}
-    return min(eccs), max(eccs)
+    """(min, max) eccentricity over all vertices.
+
+    The diameter is n, with no traversal: a shift keeps n-1 symbols of a
+    word, so after k < n shifts a word still holds n-k of 0^n's zeros and
+    (d-1)^n lies exactly n from 0^n; and n shifts reach any word.
+
+    The radius r starts at n, and each orbit representative
+    (`orbit_representatives`; an automorphism keeps distances) gets one
+    traversal cut off at depth r-1.  If it reaches every vertex, the depth
+    of its last layer is its eccentricity and the new r; if not, it cannot
+    lower r."""
+    radius = g.n
+    for v in orbit_representatives(g.d, g.n):
+        reached = 0
+        for depth, layer in enumerate(g.bfs_layers(v, radius - 1)):
+            reached += len(layer)
+        if reached == g.vertex_count:
+            radius = depth
+    return radius, g.n
 
 
 def construct_antipodal(y: DBString) -> DBString:

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbic.balls import (BFB, FBF, PathParams, Pattern, all_balls, ball_bfs,
-                        ball_closed_form, enumerate_path_params, pattern_for,
-                        prefix_bound, prefix_bound_corrected, prefix_margin,
-                        prefix_set)
+from dbic.balls import (BFB, FBF, PathParams, Pattern, _shape, _shapes,
+                        all_balls, ball_bfs, ball_closed_form,
+                        enumerate_path_params, pattern_for, prefix_bound,
+                        prefix_bound_corrected, prefix_margin, prefix_set)
 from dbic.errors import InvalidParameters, NotApplicable
 from dbic.graph import DeBruijnGraph
 from dbic.strings import DBString, decode, encode
@@ -204,6 +204,24 @@ class TestClosedForm:
         for v in range(g.vertex_count):
             x = decode(v, d, n)
             assert ball_closed_form(x, t) == ball_bfs(g, v, t), str(x)
+
+    @pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (2, 8)])
+    def test_equals_bfs_at_every_radius(self, d, n):
+        g = DeBruijnGraph(d, n)
+        for t in range(n + 1):
+            for v in range(g.vertex_count):
+                assert ball_closed_form(decode(v, d, n), t) == \
+                    ball_bfs(g, v, t), (v, t)
+
+    @pytest.mark.parametrize("n,t,distinct,kept", [
+        (12, 12, 251, 91), (12, 6, 49, 28), (12, 3, 12, 10), (12, 1, 2, 2),
+    ])
+    def test_drops_contained_shapes(self, n, t, distinct, kept):
+        """Of the distinct walk shapes, only those that no wider shape at
+        the same offset contains are placed."""
+        shapes = {_shape(p.kind, p.runs, n) for p in enumerate_path_params(t)}
+        assert len(shapes) == distinct
+        assert len(_shapes(2, n, t)) == kept
 
     @given(st.integers(2, 4), st.data())
     @settings(max_examples=40, deadline=None)

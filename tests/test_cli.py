@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import dbic
 from dbic import metrics
 from dbic.cli import main
+from dbic.graph import DeBruijnGraph
 from dbic.schemas import (BALL_OUTPUT_SCHEMA, CHECK_OUTPUT_SCHEMA,
                           CODE_FILE_SCHEMA, CODE_REPORT_SCHEMA,
                           ECC_OUTPUT_SCHEMA, GRAPH_STATS_SCHEMA,
@@ -291,13 +292,15 @@ class TestEccCommand:
 
     def test_summary_runs_one_traversal_per_orbit(self, capsys, monkeypatch):
         calls = []
-        single = metrics.eccentricity
-        monkeypatch.setattr(metrics, "eccentricity",
-                            lambda g, v: calls.append(v) or single(g, v))
+        layers = DeBruijnGraph.bfs_layers
+        monkeypatch.setattr(
+            DeBruijnGraph, "bfs_layers", lambda g, v, radius=None:
+            calls.append((v, radius)) or layers(g, v, radius))
         code, payload = run_json(capsys, "ecc", "3", "4")
         assert code == 0
         assert (payload["radius"], payload["diameter"]) == (4, 4)
-        assert calls == list(metrics.orbit_representatives(3, 4))
+        assert [v for v, _ in calls] == list(metrics.orbit_representatives(3, 4))
+        assert all(radius < 4 for _, radius in calls)
 
 
 class TestParserReuse:

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from dbic import metrics
 from dbic.balls import ball_bfs
 from dbic.errors import InvalidParameters
 from dbic.graph import DeBruijnGraph
@@ -180,12 +179,16 @@ class TestRadiusDiameterByOrbit:
             assert distance(g, v, far) == n
 
     def test_one_traversal_per_orbit(self, monkeypatch):
+        """One traversal per representative, in order, each cut off short
+        of the diameter."""
         calls = []
-        single = metrics.eccentricity
-        monkeypatch.setattr(metrics, "eccentricity",
-                            lambda g, v: calls.append(v) or single(g, v))
+        layers = DeBruijnGraph.bfs_layers
+        monkeypatch.setattr(
+            DeBruijnGraph, "bfs_layers", lambda g, v, radius=None:
+            calls.append((v, radius)) or layers(g, v, radius))
         assert radius_diameter(DeBruijnGraph(2, 8)) == (7, 8)
-        assert calls == list(orbit_representatives(2, 8))
+        assert [v for v, _ in calls] == list(orbit_representatives(2, 8))
+        assert all(radius < 8 for _, radius in calls)
 
 
 class TestConstructAntipodal:
