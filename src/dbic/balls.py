@@ -181,6 +181,15 @@ def _shapes(d: int, n: int, t: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
+def _ball_contains(d: int, n: int, t: int, v: int, w: int) -> bool:
+    """Whether id w lies in B_t(v) on B(d, n), with no graph: w = v, or w
+    is in some cached shape's pattern around v, that is, the symbols the
+    pattern fixes, w // run % modulus, are its middle, v // divisor %
+    modulus (the placement of `ball_closed_form`, read backwards)."""
+    return w == v or any(w // run % modulus == v // divisor % modulus
+                         for divisor, modulus, run, _ in _shapes(d, n, t))
+
+
 def pattern_for(x: DBString, p: PathParams) -> Pattern:
     """The pattern reached from x by the walk p, per the run-triple algebra.
 

@@ -4,11 +4,15 @@ vertex construction on B(d, n).
 Distances and eccentricities run on the graph's breadth-first kernel
 (`DeBruijnGraph.bfs_layers`).  An eccentricity is the depth of the last
 layer, so no distance array is held.  The per-vertex table, which names a
-witness for each vertex, runs the kernel once per vertex; the radius runs
-it once per orbit of the automorphisms, cut off at the running radius, and
-the diameter is n.  Renaming the symbols and reading words backwards both
-keep two words overlapping in n-1 symbols, so they map B(d, n) onto itself
-and keep every eccentricity.
+witness for each vertex, runs the kernel once per vertex.  The diameter is
+n.  The radius takes one vertex per orbit of the automorphisms: renaming
+the symbols and reading words backwards both keep two words overlapping in
+n-1 symbols, so they map B(d, n) onto itself and keep every eccentricity.
+For d >= 3 the paper's antipodal vertex (`construct_antipodal`), checked
+against the closed-form ball (`balls._ball_contains`), certifies that a
+vertex cannot lower the radius, so no traversal runs; a vertex whose
+certificate fails, and every vertex of B(2, n), where the farthest vertices
+follow no known rule, gets a traversal cut off at the running radius.
 `distance` still runs its own frontier loop, stopping at the first sight
 of its target.
 """
@@ -18,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .balls import _ball_contains
 from .errors import InvalidParameters
 from .graph import DeBruijnGraph
-from .strings import DBString
+from .strings import DBString, decode, encode
 
 
 @dataclass(frozen=True)
@@ -105,19 +110,29 @@ def radius_diameter(g: DeBruijnGraph) -> tuple[int, int]:
     word, so after k < n shifts a word still holds n-k of 0^n's zeros and
     (d-1)^n lies exactly n from 0^n; and n shifts reach any word.
 
-    The radius r starts at n, and each orbit representative
-    (`orbit_representatives`; an automorphism keeps distances) gets one
-    traversal cut off at depth r-1.  If it reaches every vertex, the depth
-    of its last layer is its eccentricity and the new r; if not, it cannot
-    lower r."""
-    radius = g.n
-    for v in orbit_representatives(g.d, g.n):
+    The radius r starts at n, and each orbit representative v
+    (`orbit_representatives`; an automorphism keeps distances) either
+    shows ecc(v) >= r by a certificate or gets one traversal cut off at
+    depth r-1.  For d >= 3 the certificate is w = `construct_antipodal(v)`:
+    if the closed form puts w outside B_{r-1}(v), then dist(v, w) >= r and
+    v cannot lower r.  A traversal that reaches every vertex makes the
+    depth of its last layer the new r; one that does not cannot lower r.
+    For d = 2 no vertex need lie n away (B(2, n) has had radius n-1 at
+    every n checked), and no rule for a far vertex is known yet, so every
+    representative is traversed."""
+    d, n = g.d, g.n
+    radius = n
+    for v in orbit_representatives(d, n):
+        if d >= 3:
+            far = encode(construct_antipodal(decode(v, d, n)))
+            if not _ball_contains(d, n, radius - 1, v, far):
+                continue
         reached = 0
         for depth, layer in enumerate(g.bfs_layers(v, radius - 1)):
             reached += len(layer)
         if reached == g.vertex_count:
             radius = depth
-    return radius, g.n
+    return radius, n
 
 
 def construct_antipodal(y: DBString) -> DBString:

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbic.balls import (BFB, FBF, PathParams, Pattern, _shape, _shapes,
-                        all_balls, ball_bfs, ball_closed_form,
+from dbic.balls import (BFB, FBF, PathParams, Pattern, _ball_contains, _shape,
+                        _shapes, all_balls, ball_bfs, ball_closed_form,
                         enumerate_path_params, pattern_for, prefix_bound,
                         prefix_bound_corrected, prefix_margin, prefix_set)
 from dbic.errors import InvalidParameters, NotApplicable
 from dbic.graph import DeBruijnGraph
+from dbic.metrics import bfs_distances
 from dbic.strings import DBString, decode, encode
 from dbic import vertexset
 from dbic.codes import code_strings
@@ -222,6 +223,20 @@ class TestClosedForm:
         shapes = {_shape(p.kind, p.runs, n) for p in enumerate_path_params(t)}
         assert len(shapes) == distinct
         assert len(_shapes(2, n, t)) == kept
+
+    @pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 8)]
+                             + [(3, n) for n in range(1, 6)]
+                             + [(4, 1), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2)])
+    def test_contains_equals_bfs(self, d, n):
+        """The membership test agrees with BFS distances on every ordered
+        pair at every radius 1..n."""
+        g = DeBruijnGraph(d, n)
+        wrong = [(v, w, t) for v in range(g.vertex_count)
+                 for dist in [bfs_distances(g, v)]
+                 for t in range(1, n + 1)
+                 for w in range(g.vertex_count)
+                 if _ball_contains(d, n, t, v, w) != (dist[w] <= t)]
+        assert wrong == []
 
     @given(st.integers(2, 4), st.data())
     @settings(max_examples=40, deadline=None)

@@ -290,17 +290,31 @@ class TestEccCommand:
         assert len(calls) == 81
         assert len(list(csv.reader(target.open()))) == 82
 
-    def test_summary_runs_one_traversal_per_orbit(self, capsys, monkeypatch):
+    def spy_traversals(self, monkeypatch):
         calls = []
         layers = DeBruijnGraph.bfs_layers
         monkeypatch.setattr(
             DeBruijnGraph, "bfs_layers", lambda g, v, radius=None:
             calls.append((v, radius)) or layers(g, v, radius))
+        return calls
+
+    def test_summary_runs_one_traversal_per_orbit(self, capsys, monkeypatch):
+        """d = 2 has no far-vertex certificate, so each representative is
+        traversed once, cut off short of the diameter."""
+        calls = self.spy_traversals(monkeypatch)
+        code, payload = run_json(capsys, "ecc", "2", "6")
+        assert code == 0
+        assert (payload["radius"], payload["diameter"]) == (5, 6)
+        assert [v for v, _ in calls] == list(metrics.orbit_representatives(2, 6))
+        assert all(radius < 6 for _, radius in calls)
+
+    def test_ternary_summary_runs_no_traversal(self, capsys, monkeypatch):
+        """d >= 3: the antipodal vertex certifies every representative."""
+        calls = self.spy_traversals(monkeypatch)
         code, payload = run_json(capsys, "ecc", "3", "4")
         assert code == 0
         assert (payload["radius"], payload["diameter"]) == (4, 4)
-        assert [v for v, _ in calls] == list(metrics.orbit_representatives(3, 4))
-        assert all(radius < 4 for _, radius in calls)
+        assert calls == []
 
 
 class TestParserReuse:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dbic import metrics
 from dbic.balls import ball_bfs
 from dbic.errors import InvalidParameters
 from dbic.graph import DeBruijnGraph
@@ -189,6 +190,38 @@ class TestRadiusDiameterByOrbit:
         assert radius_diameter(DeBruijnGraph(2, 8)) == (7, 8)
         assert [v for v, _ in calls] == list(orbit_representatives(2, 8))
         assert all(radius < 8 for _, radius in calls)
+
+
+    def spy_traversals(self, monkeypatch):
+        calls = []
+        layers = DeBruijnGraph.bfs_layers
+        monkeypatch.setattr(
+            DeBruijnGraph, "bfs_layers", lambda g, v, radius=None:
+            calls.append((v, radius)) or layers(g, v, radius))
+        return calls
+
+    @pytest.mark.parametrize("d,n", [(3, 4), (3, 5), (3, 6), (3, 7), (4, 4)])
+    def test_antipodal_certificate_skips_every_traversal(self, d, n,
+                                                         monkeypatch):
+        calls = self.spy_traversals(monkeypatch)
+        assert radius_diameter(DeBruijnGraph(d, n)) == (n, n)
+        assert calls == []
+
+    @pytest.mark.parametrize("d,n", [(d, n) for d, n in
+                                     graphs_up_to(4096, max_d=64) if d >= 3])
+    def test_failed_certificate_falls_back_to_traversal(self, d, n,
+                                                        monkeypatch):
+        """A witness inside the ball certifies nothing, so the answer
+        comes from the cut traversals alone."""
+        monkeypatch.setattr(metrics, "construct_antipodal", lambda y: y)
+        assert radius_diameter(DeBruijnGraph(d, n)) == (n, n)
+
+    def test_failed_certificate_runs_one_traversal_per_orbit(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(metrics, "construct_antipodal", lambda y: y)
+        calls = self.spy_traversals(monkeypatch)
+        assert radius_diameter(DeBruijnGraph(3, 4)) == (4, 4)
+        assert calls == [(v, 3) for v in orbit_representatives(3, 4)]
 
 
 class TestConstructAntipodal:
