@@ -23,7 +23,8 @@ depends only on (n, t), so `ball_closed_form` caches per (d, n, t) the
 integer steps of each shape that no other contains, and builds no
 `Pattern`: a pattern is d^a runs of d^b consecutive ids, placed from
 encode(x) by integer arithmetic.  The runs still overlap, and one mask is
-built from all of them at the end.
+built from all of them at the end.  `_ball_contains` tests one id against
+the same shapes, for the radius certificates in metrics.
 
 `all_balls` holds one d^n-bit ball per vertex, so it grows quadratically
 in the vertex count; only the hitting-set constraint builder, which needs
@@ -182,10 +183,10 @@ def _shapes(d: int, n: int, t: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def _ball_contains(d: int, n: int, t: int, v: int, w: int) -> bool:
-    """Whether id w lies in B_t(v) on B(d, n), with no graph: w = v, or w
-    is in some cached shape's pattern around v, that is, the symbols the
-    pattern fixes, w // run % modulus, are its middle, v // divisor %
-    modulus (the placement of `ball_closed_form`, read backwards)."""
+    """Whether id w lies in B_t(v) on B(d, n), with no graph: w = v, or for
+    some cached shape the symbols w has where the pattern is fixed,
+    w // run % modulus, are the pattern's middle, v // divisor % modulus.
+    This is the placement of `ball_closed_form`, read backwards."""
     return w == v or any(w // run % modulus == v // divisor % modulus
                          for divisor, modulus, run, _ in _shapes(d, n, t))
 

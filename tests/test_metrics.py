@@ -191,7 +191,6 @@ class TestRadiusDiameterByOrbit:
         assert [v for v, _ in calls] == list(orbit_representatives(2, 8))
         assert all(radius < 8 for _, radius in calls)
 
-
     def spy_traversals(self, monkeypatch):
         calls = []
         layers = DeBruijnGraph.bfs_layers
