@@ -1,9 +1,8 @@
 """Identifying codes, distance balls, and eccentricity on undirected
 de Bruijn graphs B(d, n)."""
 
-from .balls import (PathParams, Pattern, PrefixBoundBreakdown, all_balls,
-                    ball_bfs, ball_closed_form, enumerate_path_params,
-                    pattern_for, prefix_bound, prefix_bound_corrected,
+from .balls import (Pattern, PrefixBoundBreakdown, all_balls, ball_bfs,
+                    ball_closed_form, prefix_bound, prefix_bound_corrected,
                     prefix_margin, prefix_set)
 from .codes import (CodeReport, MinCodeResult, TwinPair, build_constraints,
                     code_strings, find_twins, greedy_code, is_identifiable,
@@ -21,14 +20,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DBString", "DeBruijnGraph", "EccentricityReport", "CodeReport",
-    "MinCodeResult", "PathParams", "Pattern", "PrefixBoundBreakdown",
-    "TwinPair", "VertexSet",
+    "MinCodeResult", "Pattern", "PrefixBoundBreakdown", "TwinPair",
+    "VertexSet",
     "all_balls", "ball_bfs", "ball_closed_form", "bfs_distances", "bits",
     "build_constraints", "code_strings", "construct_antipodal", "decode",
     "distance", "eccentricity", "eccentricity_table", "encode",
-    "enumerate_path_params", "export_dot", "find_twins", "greedy_code",
-    "is_identifiable", "mask_of", "min_code", "pattern_for", "popcount",
-    "prefix_bound", "prefix_bound_corrected", "prefix_margin", "prefix_set",
+    "export_dot", "find_twins", "greedy_code", "is_identifiable",
+    "mask_of", "min_code", "popcount", "prefix_bound",
+    "prefix_bound_corrected", "prefix_margin", "prefix_set",
     "radius_diameter", "to_ids", "verify_code",
     "CodeVertexOutOfRange", "DbicError", "InfeasibleNoCode",
     "InvalidParameters", "NotApplicable", "VertexParseError",

@@ -18,13 +18,14 @@ dominance is non-strict: run triples with equal middle and outer lengths
 reach vertices that no strictly-dominant triple covers, so they must be
 enumerated too or the union comes up short of the true ball.
 
-A triple's shape (prefix wildcards, middle slice of x, suffix wildcards)
-depends only on (n, t), so `ball_closed_form` caches per (d, n, t) the
-integer steps of each shape that no other contains, and builds no
-`Pattern`: a pattern is d^a runs of d^b consecutive ids, placed from
-encode(x) by integer arithmetic.  The runs still overlap, and one mask is
-built from all of them at the end.  `_ball_contains` tests one id against
-the same shapes, for the radius certificates in metrics.
+The triples come from one generator, `_run_triples`.  A triple's shape
+(prefix wildcards, middle slice of x, suffix wildcards) depends only on
+(n, t), so `ball_closed_form` caches per (d, n, t) the integer steps of
+each shape that no other contains: a pattern is d^a runs of d^b
+consecutive ids, placed from encode(x) by integer arithmetic.  The runs
+still overlap, and one mask is built from all of them at the end.
+`_ball_contains` tests one id against the same shapes, for the radius
+certificates in metrics.
 
 `all_balls` holds one d^n-bit ball per vertex, so it grows quadratically
 in the vertex count; only the hitting-set constraint builder, which needs
@@ -40,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
+from typing import Iterator
 
 from .errors import InvalidParameters, NotApplicable
 from .graph import DeBruijnGraph
@@ -50,35 +52,7 @@ FBF = "FBF"
 BFB = "BFB"
 
 
-@dataclass(frozen=True)
-class PathParams:
-    """Run lengths of a three-run shift walk, in execution order.
-
-    For kind FBF the runs are (f, b, g): f forward, b backward, g forward.
-    For kind BFB they are (b, f, c): b backward, f forward, c backward.
-    The middle run must be >= 1, at least as long as each outer run, and the
-    total must not exceed the radius t recorded alongside.
-    """
-
-    kind: str
-    runs: tuple[int, int, int]
-    t: int
-
-    def __post_init__(self):
-        if self.kind not in (FBF, BFB):
-            raise InvalidParameters(f"unknown path kind {self.kind!r}")
-        first, middle, last = self.runs
-        if min(self.runs) < 0 or middle < 1:
-            raise InvalidParameters("run lengths must be >= 0 with middle >= 1",
-                                    runs=self.runs)
-        if middle < first or middle < last:
-            raise InvalidParameters("middle run must dominate both outer runs",
-                                    runs=self.runs)
-        if sum(self.runs) > self.t:
-            raise InvalidParameters("total run length exceeds radius",
-                                    runs=self.runs, t=self.t)
-
-
+# No package code builds a Pattern; it stays for the tracer's `Pattern.expand`.
 @dataclass(frozen=True)
 class Pattern:
     """The vertex set [d]^a + mid + [d]^b, with a + |mid| + b = n."""
@@ -129,23 +103,15 @@ class Pattern:
         return "[" + ",".join(parts) + "]"
 
 
-def enumerate_path_params(t: int) -> list[PathParams]:
-    """All FBF and BFB run triples of total length <= t.
-
-    Deterministic order: all FBF triples first, then BFB, each block in
-    lexicographic order of the run tuple.  Empty for t = 0 (no moves).
-    """
-    if t < 0:
-        raise InvalidParameters("radius must be >= 0", t=t)
-    out = []
+def _run_triples(t: int) -> Iterator[tuple[str, tuple[int, int, int]]]:
+    """Each three-run walk of at most t shifts as (kind, (first, middle,
+    last)): all FBF triples, then all BFB, each block lexicographic, with
+    the middle run >= 1 and at least as long as each outer run."""
     for kind in (FBF, BFB):
         for first in range(t + 1):
-            for middle in range(1, t + 1):
-                for last in range(t + 1):
-                    if (middle >= first and middle >= last
-                            and first + middle + last <= t):
-                        out.append(PathParams(kind, (first, middle, last), t))
-    return out
+            for middle in range(max(first, 1), t - first + 1):
+                for last in range(min(middle, t - first - middle) + 1):
+                    yield kind, (first, middle, last)
 
 
 def _shape(kind: str, runs: tuple[int, int, int],
@@ -171,7 +137,7 @@ def _shapes(d: int, n: int, t: int) -> tuple[tuple[int, int, int, int], ...]:
     the one with no fewer leading wildcards and no later end fixes fewer
     symbols of x, so it contains the other; taken widest first, a shape is
     kept iff it ends before every one kept at its offset."""
-    shapes = {_shape(p.kind, p.runs, n) for p in enumerate_path_params(t)}
+    shapes = {_shape(kind, runs, n) for kind, runs in _run_triples(t)}
     least_end: dict[int, int] = {}  # offset -> least end kept there
     out = []
     for a, start, end, b in sorted(shapes, key=lambda s: (-s[0], s[2])):
@@ -189,16 +155,6 @@ def _ball_contains(d: int, n: int, t: int, v: int, w: int) -> bool:
     This is the placement of `ball_closed_form`, read backwards."""
     return w == v or any(w // run % modulus == v // divisor % modulus
                          for divisor, modulus, run, _ in _shapes(d, n, t))
-
-
-def pattern_for(x: DBString, p: PathParams) -> Pattern:
-    """The pattern reached from x by the walk p, per the run-triple algebra.
-
-    Raises NotApplicable when the middle segment length would be negative,
-    which happens only when the middle run exceeds n (possible when t > n).
-    """
-    a, start, end, b = _shape(p.kind, p.runs, x.n)
-    return Pattern(x.d, a, DBString(x.d, x.digits[start:end]), b)
 
 
 def ball_bfs(g: DeBruijnGraph, x: int, t: int) -> VertexSet:

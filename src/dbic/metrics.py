@@ -149,28 +149,28 @@ def construct_antipodal(y: DBString) -> DBString:
     For d = 2 no such vertex need exist (in B(2, 3) nothing is at distance
     3 from 011), so d < 3 is rejected.
     """
-    d = y.d
-    if d < 3:
+    if y.d < 3:
         raise InvalidParameters(
-            "antipodal construction requires d >= 3", d=d, n=y.n
+            "antipodal construction requires d >= 3", d=y.d, n=y.n
         )
-    digs = y.digits
+    if y.n == 0:
+        raise InvalidParameters("vertex must be nonempty", d=y.d, n=0)
+    return DBString(y.d, _antipodal_digits(y.d, y.digits))
+
+
+def _antipodal_digits(d: int, digs: tuple[int, ...]) -> tuple[int, ...]:
+    """`construct_antipodal` on digit tuples, validated once by its caller."""
     n = len(digs)
-    if n == 0:
-        raise InvalidParameters("vertex must be nonempty", d=d, n=0)
     if n == 1:
-        z = min(a for a in range(d) if a != digs[0])
-        return DBString(d, (z,))
+        return (min(a for a in range(d) if a != digs[0]),)
     if n == 2:
         z = min(a for a in range(d) if a not in digs)
-        return DBString(d, (z, z))
+        return (z, z)
     if n == 3:
         unused = [a for a in range(d) if a not in digs]
         a = min(unused) if unused else digs[1]
-        return DBString(d, (a, a, a))
-    core = construct_antipodal(DBString(d, digs[1:-1]))
-    head_choices = [a for a in range(d) if a not in (digs[-2], digs[-1])]
-    tail_choices = [a for a in range(d) if a not in (digs[0], digs[1])]
+        return (a, a, a)
     # Two exclusions against d >= 3 symbols always leave a choice.
-    assert head_choices and tail_choices
-    return DBString(d, (head_choices[0],) + core.digits + (tail_choices[0],))
+    head = min(a for a in range(d) if a not in (digs[-2], digs[-1]))
+    tail = min(a for a in range(d) if a not in (digs[0], digs[1]))
+    return (head,) + _antipodal_digits(d, digs[1:-1]) + (tail,)

@@ -3,9 +3,11 @@
 These work on plain Python strings and dict adjacency and deliberately share
 no code with the package (which works on packed integers and bitmasks), so
 the two can check each other.  Only d <= 10 is supported here; that covers
-every reference case.  The exception is `reference_search`, which takes the
+every reference case.  Two exceptions: `reference_search`, which takes the
 package's target bitsets, so that a search can be checked node for node,
-but still shares no code with it.
+but still shares no code with it; and the run-triple lemma (`run_triples`,
+`triple_pattern`), which names no alphabet and reads any sequence, so a
+word of 2t distinct letters can show where each fixed letter came from.
 """
 
 from collections import deque
@@ -32,6 +34,32 @@ def substring(s, i, j):
         raise IndexError(f"substring indices i={i}, j={j} invalid for"
                          f" length n={len(s)} (need 1 <= i <= j+1 <= n+1)")
     return s[i - 1:j]
+
+
+def run_triples(t):
+    """The three-run shift walks of at most t shifts, as (kind, (first,
+    middle, last)) for the kinds FBF and BFB, with a middle run of at least
+    1 that no outer run exceeds.  All FBF triples come first, then all
+    BFB, each block in lexicographic order."""
+    return [(kind, runs) for kind in ("FBF", "BFB")
+            for runs in product(range(t + 1), repeat=3)
+            if runs[1] >= max(1, runs[0], runs[2]) and sum(runs) <= t]
+
+
+def triple_pattern(x, kind, runs):
+    """The pattern the walk reaches from the word x, by the run-triple
+    lemma, as (prefix wildcards, middle, suffix wildcards):
+
+        FBF (f, b, g):  [d]^g + x_(b-f+1) ... x_(n-f) + [d]^(b-g)
+        BFB (b, f, c):  [d]^(f-c) + x_(b+1) ... x_(n-f+b) + [d]^c
+
+    None when the middle run exceeds n, which leaves no middle."""
+    n = len(x)
+    if kind == "FBF":
+        f, b, g = runs
+        return None if b > n else (g, substring(x, b - f + 1, n - f), b - g)
+    b, f, c = runs
+    return None if f > n else (f - c, substring(x, b + 1, n - f + b), c)
 
 
 def neighbor_strings(s, d):

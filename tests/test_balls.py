@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbic.balls import (BFB, FBF, PathParams, Pattern, _ball_contains, _shape,
-                        _shapes, all_balls, ball_bfs, ball_closed_form,
-                        enumerate_path_params, pattern_for, prefix_bound,
+from dbic.balls import (BFB, FBF, Pattern, _ball_contains, _run_triples,
+                        _shape, _shapes, all_balls, ball_bfs,
+                        ball_closed_form, prefix_bound,
                         prefix_bound_corrected, prefix_margin, prefix_set)
 from dbic.errors import InvalidParameters, NotApplicable
 from dbic.graph import DeBruijnGraph
@@ -16,7 +16,8 @@ from dbic import vertexset
 from dbic.codes import code_strings
 from dbic.vertexset import bits, mask_of, popcount, to_ids
 
-from oracles import all_strings, ball_strings
+from oracles import (all_strings, ball_strings, run_triples,
+                     triple_pattern)
 
 
 def names(g, mask):
@@ -69,76 +70,94 @@ class TestBallBfs:
 
 
 class TestPathParams:
+    """The package's run triples against the oracle's brute-force filter."""
+
     def test_radius_zero_is_empty(self):
-        assert enumerate_path_params(0) == []
+        assert list(_run_triples(0)) == [] == run_triples(0)
 
     def test_radius_one(self):
-        assert enumerate_path_params(1) == [
-            PathParams(FBF, (0, 1, 0), 1),
-            PathParams(BFB, (0, 1, 0), 1),
-        ]
+        assert list(_run_triples(1)) == [(FBF, (0, 1, 0)), (BFB, (0, 1, 0))]
 
     def test_radius_two_includes_balanced_runs(self):
         # the equal-length run shapes rewrite the first/last symbol and are
         # not reachable through any strictly-dominant triple
-        got = enumerate_path_params(2)
-        assert [p.runs for p in got if p.kind == FBF] == [
+        got = list(_run_triples(2))
+        assert [runs for kind, runs in got if kind == FBF] == [
             (0, 1, 0), (0, 1, 1), (0, 2, 0), (1, 1, 0)]
-        assert [p.runs for p in got if p.kind == BFB] == [
+        assert [runs for kind, runs in got if kind == BFB] == [
             (0, 1, 0), (0, 1, 1), (0, 2, 0), (1, 1, 0)]
 
     def test_dominance_and_budget_hold(self):
-        for p in enumerate_path_params(4):
-            first, middle, last = p.runs
+        for kind, (first, middle, last) in _run_triples(4):
+            assert kind in (FBF, BFB)
             assert middle >= 1 and middle >= first and middle >= last
             assert first + middle + last <= 4
 
-    def test_returns_a_fresh_list(self):
-        first = enumerate_path_params(3)
-        want = list(first)
-        first.clear()
-        assert enumerate_path_params(3) == want
-        assert enumerate_path_params(3) is not enumerate_path_params(3)
+    @pytest.mark.parametrize("t", range(13))
+    def test_matches_brute_force_filter(self, t):
+        assert list(_run_triples(t)) == run_triples(t)
 
-    def test_invalid_params_rejected(self):
-        with pytest.raises(InvalidParameters):
-            PathParams(FBF, (2, 1, 0), 4)
-        with pytest.raises(InvalidParameters):
-            PathParams(BFB, (0, 1, 2), 4)
-        with pytest.raises(InvalidParameters):
-            PathParams(FBF, (1, 2, 1), 3)
-        with pytest.raises(InvalidParameters):
-            PathParams("XYZ", (0, 1, 0), 1)
+
+def shape_over(x, kind, runs):
+    """The package's shape of a walk, read over the word x."""
+    a, start, end, b = _shape(kind, runs, len(x))
+    return a, x[start:end], b
+
+
+def render(pattern):
+    a, mid, b = pattern
+    return "*" * a + mid + "*" * b
 
 
 class TestPatternFor:
+    """The package's shapes against the oracle's patterns, and the
+    oracle's patterns against the oracle's balls."""
+
     def test_single_backward_step(self):
-        x = DBString.parse("0112", 3)
-        p = pattern_for(x, PathParams(FBF, (0, 1, 0), 1))
-        assert str(p) == "112*"
+        assert render(shape_over("0112", FBF, (0, 1, 0))) == "112*"
+        assert render(triple_pattern("0112", FBF, (0, 1, 0))) == "112*"
 
     def test_single_forward_step(self):
-        x = DBString.parse("0112", 3)
-        p = pattern_for(x, PathParams(BFB, (0, 1, 0), 1))
-        assert str(p) == "*011"
+        assert render(shape_over("0112", BFB, (0, 1, 0))) == "*011"
+        assert render(triple_pattern("0112", BFB, (0, 1, 0))) == "*011"
 
     def test_empty_middle(self):
-        x = DBString.parse("01", 3)
-        p = pattern_for(x, PathParams(FBF, (0, 2, 0), 2))
-        assert str(p) == "**"
-        assert p.mid.n == 0
+        assert shape_over("01", FBF, (0, 2, 0)) == (0, "", 2) == \
+            triple_pattern("01", FBF, (0, 2, 0))
+        assert render(triple_pattern("01", FBF, (0, 2, 0))) == "**"
 
     def test_balanced_runs_rewrite_first_symbol(self):
-        x = DBString.parse("0112", 3)
-        p = pattern_for(x, PathParams(FBF, (0, 1, 1), 2))
-        assert str(p) == "*112"
+        assert render(shape_over("0112", FBF, (0, 1, 1))) == "*112"
+        assert render(triple_pattern("0112", FBF, (0, 1, 1))) == "*112"
 
     def test_not_applicable_when_run_exceeds_length(self):
-        x = DBString.parse("01", 3)
-        with pytest.raises(NotApplicable):
-            pattern_for(x, PathParams(FBF, (0, 3, 0), 3))
-        with pytest.raises(NotApplicable):
-            pattern_for(x, PathParams(BFB, (0, 3, 0), 3))
+        for kind in (FBF, BFB):
+            with pytest.raises(NotApplicable):
+                _shape(kind, (0, 3, 0), 2)
+            assert triple_pattern("01", kind, (0, 3, 0)) is None
+
+    GRID = [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)]
+
+    @pytest.mark.parametrize("d,n", GRID)
+    def test_shapes_equal_oracle_patterns(self, d, n):
+        """Every walk of at most n shifts, so of every radius t <= n."""
+        for x in all_strings(d, n):
+            for kind, runs in run_triples(n):
+                assert shape_over(x, kind, runs) == \
+                    triple_pattern(x, kind, runs), (x, kind, runs)
+
+    @pytest.mark.parametrize("d,n", GRID)
+    def test_patterns_and_centre_make_the_ball(self, d, n):
+        """The run-triple lemma on strings alone: B_t(x) is x and every
+        word that some walk's pattern matches."""
+        for x in all_strings(d, n):
+            for t in range(n + 1):
+                reached = {x}
+                for kind, runs in run_triples(t):
+                    a, mid, b = triple_pattern(x, kind, runs)
+                    reached |= {p + mid + s for p in all_strings(d, a)
+                                for s in all_strings(d, b)}
+                assert reached == ball_strings(x, d, t), (x, t)
 
     def test_expansion_cardinality(self):
         p = Pattern(3, 1, DBString.parse("01", 3), 1)
@@ -220,7 +239,7 @@ class TestClosedForm:
     def test_drops_contained_shapes(self, n, t, distinct, kept):
         """Of the distinct walk shapes, only those that no wider shape at
         the same offset contains are placed."""
-        shapes = {_shape(p.kind, p.runs, n) for p in enumerate_path_params(t)}
+        shapes = {_shape(kind, runs, n) for kind, runs in _run_triples(t)}
         assert len(shapes) == distinct
         assert len(_shapes(2, n, t)) == kept
 
@@ -409,15 +428,13 @@ def widest_prefix_shapes(t):
     The centre x is a shape at offset 0; the pure forward run of t shifts
     is the subtracted forward set and is left out.
     """
-    n = 2 * t
-    x = DBString(n, tuple(range(n)))
+    x = range(2 * t)
     widest = {0: 0}
-    for p in enumerate_path_params(t):
-        pat = pattern_for(x, p)
-        a = pat.prefix_wildcards
+    for kind, runs in run_triples(t):
+        a, mid, _ = triple_pattern(x, kind, runs)
         if a >= t:
             continue
-        k = pat.mid.digits[0] - a
+        k = mid[0] - a
         widest[k] = max(widest.get(k, 0), a)
     return widest
 

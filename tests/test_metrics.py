@@ -223,7 +223,38 @@ class TestRadiusDiameterByOrbit:
         assert calls == [(v, 3) for v in orbit_representatives(3, 4)]
 
 
+def reference_antipodal(y):
+    """The recursion of `construct_antipodal` on one validated DBString
+    per level, kept as the reference for its digit-tuple form."""
+    d, digs = y.d, y.digits
+    n = len(digs)
+    if n == 1:
+        return DBString(d, (min(a for a in range(d) if a != digs[0]),))
+    if n == 2:
+        z = min(a for a in range(d) if a not in digs)
+        return DBString(d, (z, z))
+    if n == 3:
+        unused = [a for a in range(d) if a not in digs]
+        a = min(unused) if unused else digs[1]
+        return DBString(d, (a, a, a))
+    core = reference_antipodal(DBString(d, digs[1:-1]))
+    head_choices = [a for a in range(d) if a not in (digs[-2], digs[-1])]
+    tail_choices = [a for a in range(d) if a not in (digs[0], digs[1])]
+    return DBString(d, (head_choices[0],) + core.digits + (tail_choices[0],))
+
+
 class TestConstructAntipodal:
+    @pytest.mark.parametrize("d,n", [(d, n) for d, n in
+                                     graphs_up_to(4096, max_d=64) if d >= 3])
+    def test_matches_reference_recursion(self, d, n):
+        for v in range(d ** n):
+            y = decode(v, d, n)
+            assert construct_antipodal(y) == reference_antipodal(y), str(y)
+
+    def test_rejects_empty_word(self):
+        with pytest.raises(InvalidParameters):
+            construct_antipodal(DBString(3, ()))
+
     def test_pair_base_case(self):
         assert str(construct_antipodal(DBString.parse("01", 3))) == "22"
 
