@@ -30,12 +30,16 @@ splits no class.  For t >= n every ball is V (the diameter is n).
 Both search routines run on the hitting-set reformulation: S is valid iff
 it intersects every ball and every symmetric difference of balls of
 non-twin pairs within distance 2t; pairs farther apart are separated for
-free by their own centers.  Both searches read one per-vertex cover index,
-grown by `_column_stripes` from the pair (x, y) that first gave each target,
-as v lies in B_t(x) iff x lies in B_t(v).  `min_code` works on bitsets over
-the targets sorted by size, the smallest at the top bit, each formed from
-its pair's balls only for its clash mask or branch list: a child is one AND,
-and the packing bound jumps by clash masks up to the incumbent's gap.
+free by their own centers.  The pairs come from the ball rows grown t more
+rounds, row x of which is B_2t(x), each row dropped once its y > x are read.
+Both searches read one per-vertex cover index, grown by `_column_stripes`
+from the pair (x, y) that first gave each target, as v lies in B_t(x) iff x
+lies in B_t(v).  `min_code` works on bitsets over the targets sorted by
+size, the smallest at the top bit, each formed from its pair's balls only
+for its clash mask or branch list: a child is one AND, and the packing bound
+jumps by clash masks up to the incumbent's gap.  Its stack holds a frame per
+expanded node; each frame is popped once and its children walked in place,
+and a frame with a child to expand goes back under the child's.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice, repeat
-from operator import and_
+from operator import and_, xor
 from typing import Iterator, Sequence
 
 from .balls import all_balls
@@ -327,7 +331,8 @@ def build_constraints(g: DeBruijnGraph, t: int) -> list[VertexSet]:
 
 def _constraints(g: DeBruijnGraph, t: int) -> tuple[list, array, array]:
     """The balls, with an empty one at N, and the pair that first gave each
-    target: target i is balls[first[i]] ^ balls[second[i]]."""
+    target: target i is balls[first[i]] ^ balls[second[i]].  The pairs
+    within 2t are read off a copy of the ball rows grown t more rounds."""
     _check_t(t)
     twins, total = _first_pairs(_classes(g, t))
     if twins:
@@ -344,9 +349,13 @@ def _constraints(g: DeBruijnGraph, t: int) -> tuple[list, array, array]:
             f" targets, over the {MAX_TARGET_BYTES // 2 ** 30} GiB cap",
             d=g.d, n=g.n, t=t)
     balls = all_balls(g, t) + [0]
+    far = g.grow_rows(balls[:count], t)  # B_2t(x): the ids within 2t of x
+    for x, row in enumerate(far):  # only the ids y > x: row x has N-x-1 bits
+        far[x] = row >> x + 1
+    far.reverse()  # popped x ascending, so each row goes once it is read
     pairs = chain(zip(range(count), repeat(count)), (
-        (x, y) for x in range(count) for y in sorted(
-            w for w in chain.from_iterable(g.bfs_layers(x, 2 * t)) if w > x)))
+        (x, y) for x in range(count)
+        for y in map((x + 1).__add__, bits(far.pop()))))
     targets: dict = {}
     first, second = array("I"), array("I")
     for x, y in pairs:
@@ -413,9 +422,13 @@ def min_code(g: DeBruijnGraph, t: int,
     """
     if node_budget is not None and node_budget < 0:
         raise InvalidParameters("node budget must be >= 0", budget=node_budget)
-    balls, *sources = _constraints(g, t)
-    first, second = [array("I", side) for side in zip(*reversed(sorted(
-        zip(*sources), key=lambda p: popcount(balls[p[0]] ^ balls[p[1]]))))]
+    balls, *pairs = _constraints(g, t)
+    sizes = list(map(int.bit_count, map(xor, *[map(balls.__getitem__, side)
+                                              for side in pairs])))
+    order = sorted(range(len(sizes)), key=sizes.__getitem__)[::-1]
+    first, second = [array("I", map(side.__getitem__, order))
+                     for side in pairs]
+    del sizes, order, pairs
     if node_budget is None and g.vertex_count > DEFAULT_EXACT_CAP:
         node_budget = DEFAULT_NODE_BUDGET
     keep = _cover(g, t, first, second)
@@ -432,32 +445,37 @@ def min_code(g: DeBruijnGraph, t: int,
     branch: list = [None] * len(first)  # (1 << v, keep[v]) for v in target
     nodes, stack = 0, [(iter([(0, everything)]), 0, 0, everything)]
     while stack:  # children, parent's chosen, their size, parent's targets
-        children, chosen, size, unsatisfied = stack[-1]
-        step = next(children, None) if size < best_size else None
-        if step is None:  # no child left that could beat the incumbent
-            stack.pop()
-            continue
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            break  # the stack stays nonempty: not optimal
-        chosen, unsatisfied = chosen | step[0], unsatisfied & step[1]
-        if not unsatisfied:
-            best, best_size = chosen, size
-            continue
-        rest, count = unsatisfied, size + 1  # its first target is packed
-        while count < best_size:  # expand iff the packing ends first
-            i = rest.bit_length() - 1
-            if spare[i] is None:
-                spare[i] = reduce(and_, map(keep.__getitem__, members(i)))
-            rest &= spare[i]
-            if not rest:
-                i = unsatisfied.bit_length() - 1
-                if branch[i] is None:
-                    branch[i] = [(1 << v, keep[v]) for v in members(i)]
-                stack.append((iter(branch[i]), chosen, size + 1, unsatisfied))
+        children, chosen, size, unsatisfied = stack.pop()
+        if size >= best_size:
+            continue  # no child left could beat the incumbent
+        # targets a child's packing may take past its first; best_size
+        # changes only on a hit, which ends the frame
+        room = best_size - size - 1
+        for bit, keeps in children:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return MinCodeResult(best, best_size, optimal=False,
+                                     nodes=nodes)
+            left = rest = unsatisfied & keeps
+            if not left:
+                best, best_size = chosen | bit, size
                 break
-            count += 1
-    return MinCodeResult(best, best_size, optimal=not stack, nodes=nodes)
+            packed = room
+            while rest and packed:  # expand iff the packing ends first
+                packed -= 1
+                i = rest.bit_length() - 1
+                if spare[i] is None:
+                    spare[i] = reduce(and_, map(keep.__getitem__, members(i)))
+                rest &= spare[i]
+            if rest:
+                continue  # the packing reached the gap: pruned
+            i = left.bit_length() - 1
+            if branch[i] is None:
+                branch[i] = [(1 << v, keep[v]) for v in members(i)]
+            stack.append((children, chosen, size, unsatisfied))
+            stack.append((iter(branch[i]), chosen | bit, size + 1, left))
+            break
+    return MinCodeResult(best, best_size, optimal=True, nodes=nodes)
 
 
 def code_strings(g: DeBruijnGraph, code: VertexSet) -> list[str]:

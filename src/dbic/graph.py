@@ -10,15 +10,16 @@ they are reported via has_loop() and drawn by the DOT export.
 
 The package has two traversal kernels, the second in two forms.
 `DeBruijnGraph.bfs_layers` is a layered breadth-first frontier from one
-source, which single balls, distance arrays, eccentricities, the constraint
-builder, and the exact confirmation of hashed twin labels run on.  It stops
-at depth n, the diameter; short of that it holds the set of ids it reached,
-so a radius-t query costs O(|B_t(x)|), not O(d^n).  `DeBruijnGraph.grow_rows`
-grows the balls of all sources at once, one radius per round, as one int per
-vertex: the OR of per-vertex start rows over each ball.  Started from each
-vertex's own column it gives the whole-graph ball table (`balls.all_balls`);
-exact twin labels and the code search's cover index start it a stripe of
-columns at a time, each column at a source vertex (`codes._column_stripes`).
+source, which single balls, distance arrays, eccentricities and the exact
+confirmation of hashed twin labels run on.  It stops at depth n, the
+diameter; short of that it holds the set of ids it reached, so a radius-t
+query costs O(|B_t(x)|), not O(d^n).  `DeBruijnGraph.grow_rows` grows the
+balls of all sources at once, one radius per round, as one int per vertex:
+the OR of per-vertex start rows over each ball.  Started from each vertex's
+own column it gives the whole-graph ball table (`balls.all_balls`), which
+the constraint builder grows t more rounds for its pairs within 2t; exact
+twin labels and the code search's cover index start it a stripe of columns
+at a time, each column at a source vertex (`codes._column_stripes`).
 `DeBruijnGraph.grow_words` is its other form: the same recurrence on rows
 of one 64-bit word each, every row a lane of one `array('Q')`, so that a
 round is a few bulk int and slice operations with no Python operation per

@@ -24,7 +24,7 @@ from dbic.graph import DeBruijnGraph
 from dbic.strings import DBString, encode
 from dbic.vertexset import mask_of, popcount, to_ids
 
-from oracles import (all_strings, ball_strings, code_report,
+from oracles import (all_strings, ball_strings, code_report, distances_from,
                      reference_search, twin_pairs)
 
 PAPER_CODE_B23 = ["001", "010", "011", "101"]
@@ -34,6 +34,11 @@ PAPER_CODE_B23 = ["001", "010", "011", "101"]
 ORACLE_GRID = [(2, 4, 1), (2, 5, 2), (3, 3, 1), (3, 3, 2), (4, 2, 1),
                (2, 8, 7)]
 TWIN_HEAVY = (2, 8, 7)
+# The oracle grid without its twin cell; two dense cells with 2 and 3
+# rounds per run; and cells with 2t >= n, where balls of far-apart vertices
+# still meet.
+PAIR_CELLS = [cell for cell in ORACLE_GRID if cell != TWIN_HEAVY] + [
+    (3, 4, 2), (2, 8, 3), (2, 5, 3), (4, 3, 2)]
 
 
 def peak_bytes(fn, *args):
@@ -706,6 +711,42 @@ class TestBuildConstraints:
         assert all(targets)
         assert len(targets) == len(set(targets))
 
+    @pytest.mark.parametrize("d,n,t", PAIR_CELLS)
+    def test_pairs_match_distance_oracle(self, d, n, t):
+        """The pair behind each target is the first to give it: each vertex
+        with the empty ball N, then every x < y within distance 2t by the
+        string BFS, x ascending, then y."""
+        words = all_strings(d, n)
+        count = len(words)
+        dist = [distances_from(word, d) for word in words]
+        balls = [frozenset(w for w, k in row.items() if k <= t)
+                 for row in dist] + [frozenset()]
+        pairs = [(x, count) for x in range(count)] + [
+            (x, y) for x in range(count) for y in range(x + 1, count)
+            if dist[x][words[y]] <= 2 * t]
+        seen, want = set(), []
+        for x, y in pairs:
+            if balls[x] ^ balls[y] not in seen:
+                seen.add(balls[x] ^ balls[y])
+                want.append((x, y))
+        first, second = codes._constraints(DeBruijnGraph(d, n), t)[1:]
+        assert list(zip(first, second)) == want
+
+    @pytest.mark.parametrize("d,n,t", [(3, 4, 2), (2, 8, 1)])
+    def test_pairs_need_no_traversal_per_vertex(self, d, n, t, monkeypatch):
+        """The pairs within 2t come from one table grown t rounds past the
+        balls, not from a breadth-first search per vertex."""
+        calls = []
+        bfs_layers = DeBruijnGraph.bfs_layers
+
+        def spy(self, source, radius=None):
+            calls.append(source)
+            return bfs_layers(self, source, radius)
+
+        monkeypatch.setattr(DeBruijnGraph, "bfs_layers", spy)
+        assert len(codes._constraints(DeBruijnGraph(d, n), t)[1]) > 0
+        assert calls == []
+
 
 class TestPinnedTargets:
     """The constraint list pinned to values recorded while each target was
@@ -763,12 +804,6 @@ class TestCoverIndex:
     equals the one read off the target bitsets, in build order (greedy) and
     in size order from the top bit down (`min_code`)."""
 
-    # the oracle grid without its twin cell; two dense cells with 2 and 3
-    # rounds per run; and cells with 2t >= n, where balls of far-apart
-    # vertices still meet
-    CELLS = [cell for cell in ORACLE_GRID if cell != TWIN_HEAVY] + [
-        (3, 4, 2), (2, 8, 3), (2, 5, 3), (4, 3, 2)]
-
     @staticmethod
     def built_covers(monkeypatch, g, t):
         """The index built inside `greedy_code`, then inside `min_code`."""
@@ -784,7 +819,7 @@ class TestCoverIndex:
         min_code(g, t, node_budget=0)
         return built
 
-    @pytest.mark.parametrize("d,n,t", CELLS)
+    @pytest.mark.parametrize("d,n,t", PAIR_CELLS)
     def test_matches_target_bitsets(self, monkeypatch, d, n, t):
         g = DeBruijnGraph(d, n)
         targets = build_constraints(g, t)
@@ -1010,6 +1045,9 @@ class TestSearchAgainstReference:
         targets = self.targets_or_none(g, t)
         if targets is not None:
             budgets = [0, 1, 50, 500]
+            if g.vertex_count <= 32:  # stop on the last node, and just after
+                nodes = reference_search(targets, g.vertex_count)[0][3]
+                budgets += [nodes - 1, nodes]
             want = reference_search(targets, g.vertex_count, budgets)
             for budget, result in zip(budgets, want):
                 r = min_code(g, t, node_budget=budget)
