@@ -726,8 +726,9 @@ class TestBuildConstraints:
             if dist[x][words[y]] <= 2 * t]
         seen, want = set(), []
         for x, y in pairs:
-            if balls[x] ^ balls[y] not in seen:
-                seen.add(balls[x] ^ balls[y])
+            target = balls[x] ^ balls[y]
+            if target not in seen:
+                seen.add(target)
                 want.append((x, y))
         first, second = codes._constraints(DeBruijnGraph(d, n), t)[1:]
         assert list(zip(first, second)) == want
