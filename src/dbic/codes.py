@@ -27,6 +27,13 @@ row).  Column stripes stop once every vertex has a nonzero label of its
 own, word stripes once every nonzero label is unique or after one that
 splits no class.  For t >= n every ball is V (the diameter is n).
 
+At t = 1 twins are adjacent, as B_1(x) = B_1(y) puts x in B_1(y), and
+equal balls grow equal words.  So on one stripe of words (m <= 64) twin
+detection first compares the word of each vertex with those of its d
+out-neighbours, which meets every edge (`_twin_free`): if no two are
+equal, no two balls are, and no label is built.  Otherwise the labels
+decide.
+
 Both search routines run on the hitting-set reformulation: S is valid iff
 it intersects every ball and every symmetric difference of balls of
 non-twin pairs within distance 2t; pairs farther apart are separated for
@@ -284,9 +291,42 @@ def _first_pairs(labels: list[int]) -> tuple[list[tuple[int, int]], int]:
     return list(islice(_pairs(labels), 10)), total
 
 
+def _twin_free(g: DeBruijnGraph, t: int) -> bool:
+    """True only if no two balls are equal, tried at t = 1 on one stripe of
+    words (False elsewhere): twins are adjacent there, and equal balls grow
+    equal words.  Vertex k*d^(n-1) + s has out-neighbours s*d + a, so block
+    k of d^(n-1) lanes is compared with rows[a::d] for each symbol a, which
+    meets every edge; a^n, its own out-neighbour for a, is set apart.  A
+    lane of the XOR is 0 iff bit 63 of (its low 63 bits + 2^63 - 1) |
+    itself is clear, tested for all lanes at once.  False proves nothing:
+    the exact classes decide."""
+    count, d, m = g.vertex_count, g.d, _ball_bound(g, t)
+    # A ball of more than 64 ids all but fills its word, and adjacent words
+    # meet: from B(40,2) (m = 81) on, the check only added to the labels.
+    if t != 1 or m > 64 or HASH_COLUMNS_PER_ID * m >= count:
+        return False
+    rows = g.grow_words(_start_words(count, None), t)
+    high = count // d
+    blocks = [int.from_bytes(rows[k * high:(k + 1) * high], "little")
+              for k in range(d)]
+    top = int.from_bytes((bytes(7) + b"\x80") * high, "little")
+    low = int.from_bytes((b"\xff" * 7 + b"\x7f") * high, "little")
+    for a, loop in enumerate(g.loop_vertices()):
+        out = int.from_bytes(rows[a::d], "little")  # lane s: s*d + a's word
+        for k, block in enumerate(blocks):
+            z = block ^ out
+            if k == a:  # lane a^(n-1) of block a is a^n itself
+                z |= 1 << 64 * (loop % high)
+            if ((z & low) + low | z) & top != top:
+                return False  # a vertex shares its word with an out-neighbour
+    return True
+
+
 def find_twins(g: DeBruijnGraph, t: int) -> list[TwinPair]:
     """All unordered twin pairs; empty iff the graph is t-identifiable."""
     _check_t(t)
+    if _twin_free(g, t):
+        return []
     return [TwinPair(x=x, y=y, t=t) for x, y in _pairs(_classes(g, t))]
 
 
@@ -294,7 +334,7 @@ def is_identifiable(g: DeBruijnGraph, t: int) -> tuple[bool, TwinPair | None]:
     """True iff no twins; on False the lexicographically first pair, the
     first two members of the class whose first member is smallest."""
     _check_t(t)
-    first = next(_pairs(_classes(g, t)), None)
+    first = None if _twin_free(g, t) else next(_pairs(_classes(g, t)), None)
     if first:
         return False, TwinPair(x=first[0], y=first[1], t=t)
     return True, None
@@ -334,10 +374,11 @@ def _constraints(g: DeBruijnGraph, t: int) -> tuple[list, array, array]:
     target: target i is balls[first[i]] ^ balls[second[i]].  The pairs
     within 2t are read off a copy of the ball rows grown t more rounds."""
     _check_t(t)
-    twins, total = _first_pairs(_classes(g, t))
-    if twins:
-        raise InfeasibleNoCode([TwinPair(x=x, y=y, t=t) for x, y in twins],
-                               total)
+    if not _twin_free(g, t):
+        twins, total = _first_pairs(_classes(g, t))
+        if twins:
+            raise InfeasibleNoCode([TwinPair(x=x, y=y, t=t)
+                                    for x, y in twins], total)
     # |B_r| <= sum_{k<=r} (2d)^k and no distance exceeds n, so there are at
     # most N + N(m-1)/2 targets of N bits each.
     count = g.vertex_count

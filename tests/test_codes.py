@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from functools import reduce
 from operator import and_, or_
 from pathlib import Path
@@ -621,6 +622,119 @@ class TestIsIdentifiable:
             assert report.valid == is_identifiable(g, t)[0]
 
 
+# Every B(d, n) with 2 <= d <= 5 and d^n <= 4,096.
+SMALL_GRAPHS = [(d, n) for d in range(2, 6) for n in range(1, 13)
+                if d ** n <= 4096]
+
+
+class TestTwinFree:
+    """At t = 1 twins are adjacent, so on one stripe of words a graph none
+    of whose adjacent vertices share a word is twin-free with no labels
+    built; a shared word falls through to the exact classes."""
+
+    @staticmethod
+    def assert_twins(g):
+        """`find_twins` and `is_identifiable` at t = 1 give the pairs of
+        `reference_labels`, which are returned."""
+        pairs = list(codes._pairs(reference_labels(g, 1)))
+        assert [(p.x, p.y) for p in find_twins(g, 1)] == pairs
+        assert is_identifiable(g, 1) == (
+            (False, TwinPair(*pairs[0], t=1)) if pairs else (True, None))
+        return pairs
+
+    @pytest.mark.parametrize("d,n", SMALL_GRAPHS)
+    @pytest.mark.parametrize("path", ["unforced", "words"])
+    def test_matches_reference(self, d, n, path, monkeypatch):
+        """B(d,1) (every ball is V) and B(2,2) (01 and 10) are the only
+        cells with twins, and keep their first pair forced onto words.  No
+        two adjacent vertices of the others share a word of this draw, so
+        on words adjacent pairs alone decide them."""
+        g = DeBruijnGraph(d, n)
+        if path == "words":
+            TestClassKernels.force(monkeypatch, path, g)
+        words = codes.HASH_COLUMNS_PER_ID * codes._ball_bound(g, 1) \
+            < g.vertex_count
+        pairs = self.assert_twins(g)
+        assert codes._twin_free(g, 1) == (words and not pairs)
+        if n == 1 or (d, n) == (2, 2):
+            assert pairs[0] == ((0, 1) if n == 1 else (1, 2))
+        else:
+            assert pairs == []
+
+    @pytest.mark.parametrize("d,n,t", [(2, 4, 2), (2, 5, 4), (2, 8, 7)])
+    def test_radius_one_only(self, d, n, t, monkeypatch):
+        """Twins farther apart than an edge, such as 0011 and 1100 of
+        B(2,4) at t=2, are still found on words."""
+        g = DeBruijnGraph(d, n)
+        TestClassKernels.force(monkeypatch, "words", g)
+        assert not codes._twin_free(g, t)
+        pairs = list(codes._pairs(reference_labels(g, t)))
+        assert pairs
+        assert [(p.x, p.y) for p in find_twins(g, t)] == pairs
+
+    def test_balls_past_one_word_skip_the_check(self, monkeypatch):
+        """B(40,2) t=1 has m = 81, so its labels take two stripes of words,
+        and the check, whose words adjacent vertices would share, grows
+        none."""
+        g = DeBruijnGraph(40, 2)
+        called = TestClassKernels.kernels(monkeypatch)
+        assert not codes._twin_free(g, 1)
+        assert called == []
+        assert is_identifiable(g, 1) == (True, None)
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (2, 8), (3, 5), (4, 4),
+                                     (5, 3), (5, 1)])
+    def test_shared_words_fall_through(self, d, n, monkeypatch):
+        """Narrow words collide across edges, so the exact classes run and
+        give the same answers."""
+        g = DeBruijnGraph(d, n)
+        TestClassKernels.force(monkeypatch, "words", g)
+        TestClassKernels.narrow_words(monkeypatch)
+        assert not codes._twin_free(g, 1)
+        self.assert_twins(g)
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 2)])
+    def test_equal_words_count_only_across_edges(self, d, n, monkeypatch):
+        """Given distinct words, one pair of equal words makes the test fail
+        iff the pair is an edge: every symbol's out-neighbours are read, and
+        only a^n's own lane is set apart.  The words include 2^63, 0, 1 and
+        2^64 - 1, so lanes that differ in bit 63 alone or in bit 0 alone
+        count as different."""
+        g = DeBruijnGraph(d, n)
+        count = g.vertex_count
+        TestClassKernels.force(monkeypatch, "words", g)
+        rng = random.Random(count)
+        words = array("Q", [2 ** 63, 0, 1, 2 ** 64 - 1]
+                      + rng.sample(range(2, 2 ** 63), count - 4))
+        monkeypatch.setattr(DeBruijnGraph, "grow_words",
+                            lambda self, rows, radius: array("Q", words))
+        assert codes._twin_free(g, 1)
+        for x in range(count):
+            for y in range(x + 1, count):
+                kept, words[y] = words[y], words[x]
+                assert codes._twin_free(g, 1) == (
+                    y not in g.neighbor_ids(x)), (x, y)
+                words[y] = kept
+
+    @pytest.mark.parametrize("call", [is_identifiable, find_twins,
+                                      build_constraints])
+    def test_twin_free_cell_builds_no_labels(self, call, monkeypatch):
+        """B(2,12) t=1 (B(2,8) for the constraints) grows its words once
+        and needs no labels, no confirmation and no traversal."""
+        called = []
+        for owner, name in [(DeBruijnGraph, "grow_words"),
+                            (DeBruijnGraph, "bfs_layers"),
+                            (codes, "_row_labels"), (codes, "_confirm")]:
+            def spy(*args, name=name, real=getattr(owner, name)):
+                called.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+        n = 8 if call is build_constraints else 12
+        call(DeBruijnGraph(2, n), 1)
+        assert called == ["grow_words"]
+
+
 class TestVerifyCode:
     def test_accepts_reference_code(self):
         g = DeBruijnGraph(2, 3)
@@ -1094,6 +1208,14 @@ class TestMemoryBound:
         27.0 MiB here."""
         assert peak_bytes(is_identifiable, DeBruijnGraph(2, 14), 5) \
             < self.LIMIT
+
+    def test_twin_free_peak(self):
+        """B(2,19) t=1 (524,288 vertices) is decided from the words of
+        adjacent vertices, and peaks at 26,800,596 bytes here, in
+        `grow_words`; a set of all N words and a label per vertex peaked at
+        84,499,977.  The bound allows 10% above the former."""
+        assert peak_bytes(is_identifiable, DeBruijnGraph(2, 19), 1) \
+            < 26_800_596 * 11 // 10
 
     def test_verify_code_peak(self):
         g = DeBruijnGraph(2, 14)
