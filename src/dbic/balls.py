@@ -20,12 +20,14 @@ enumerated too or the union comes up short of the true ball.
 
 The triples come from one generator, `_run_triples`.  A triple's shape
 (prefix wildcards, middle slice of x, suffix wildcards) depends only on
-(n, t), so `ball_closed_form` caches per (d, n, t) the integer steps of
-each shape that no other contains: a pattern is d^a runs of d^b
-consecutive ids, placed from encode(x) by integer arithmetic.  The runs
-still overlap, and one mask is built from all of them at the end.
-`_ball_contains` tests one id against the same shapes, for the radius
-certificates in metrics.
+(n, t), so one cache, `_shapes`, holds per (d, n, t) the positions of each
+shape that no other contains and the integer steps derived from them: a
+pattern is d^a runs of d^b consecutive ids, placed from encode(x) by
+integer arithmetic.  The runs still overlap, and `ball_closed_form` builds
+one mask from all of them at the end.  `_ball_contains` tests one id
+against the same shapes, for the radius certificates in metrics, and
+`_outside` walks their positions to the least word outside B_t(x), with no
+graph: one vertex's eccentricity and its witness, past any vertex cap.
 
 `all_balls` holds one d^n-bit ball per vertex, so it grows quadratically
 in the vertex count; only the hitting-set constraint builder, which needs
@@ -39,8 +41,9 @@ one-word form on hashed columns (see codes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import chain
+from operator import or_
 from typing import Iterator
 
 from .errors import InvalidParameters, NotApplicable
@@ -129,10 +132,12 @@ def _shape(kind: str, runs: tuple[int, int, int],
 
 
 @cache
-def _shapes(d: int, n: int, t: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Each pattern of radius t on B(d, n) that no other contains, as
-    (divisor, modulus, run, stride): around a centre id v its ids are d^a
-    runs of `run` consecutive ids, `stride` apart, the first starting at
+def _shapes(d: int, n: int, t: int) -> tuple[tuple[tuple, tuple], ...]:
+    """Each pattern of radius t on B(d, n) that no other contains, as its
+    positions (a, start, end, b), the word's positions [a, n-b) fixed to
+    x[start:end], and the integer steps derived from them, (divisor,
+    modulus, run, stride): around a centre id v its ids are d^a runs of
+    `run` consecutive ids, `stride` apart, the first starting at
     v // divisor % modulus * run.  Of two shapes at one offset start - a,
     the one with no fewer leading wildcards and no later end fixes fewer
     symbols of x, so it contains the other; taken widest first, a shape is
@@ -143,8 +148,8 @@ def _shapes(d: int, n: int, t: int) -> tuple[tuple[int, int, int, int], ...]:
     for a, start, end, b in sorted(shapes, key=lambda s: (-s[0], s[2])):
         if end < least_end.get(start - a, n + 1):
             least_end[start - a] = end
-            out.append((d ** (n - end), d ** (end - start), d ** b,
-                        d ** (n - a)))
+            out.append(((a, start, end, b), (d ** (n - end),
+                        d ** (end - start), d ** b, d ** (n - a))))
     return tuple(out)
 
 
@@ -154,7 +159,54 @@ def _ball_contains(d: int, n: int, t: int, v: int, w: int) -> bool:
     w // run % modulus, are the pattern's middle, v // divisor % modulus.
     This is the placement of `ball_closed_form`, read backwards."""
     return w == v or any(w // run % modulus == v // divisor % modulus
-                         for divisor, modulus, run, _ in _shapes(d, n, t))
+                         for _, (divisor, modulus, run, _) in _shapes(d, n, t))
+
+
+def _outside(d: int, n: int, t: int, v: int) -> int | None:
+    """The least id w != v outside B_t(v) on B(d, n), or None, with no
+    graph: a walk that sets w's symbols most significant first, each in
+    ascending order.  Its state is a bitmask of the cached shapes that the
+    symbols so far still match; a symbol at position i keeps the shapes
+    that leave i free or fix it to that symbol.  A symbol that leaves some
+    shape of the state with no fixed position after it is skipped, since
+    every word below it lies in that pattern, so the first leaf reached is
+    the answer.  A (position, state) that fails fails wherever it recurs,
+    but along v's own prefix, where v is no answer, it is not recorded."""
+    if t >= n:
+        return None  # the diameter is n
+    shapes = _shapes(d, n, t)
+    x = decode(v, d, n).digits
+    fixes = [[0] * d for _ in range(n)]  # [i][s]: shapes fixing i to s
+    done = [0] * (n + 1)  # [i]: shapes that fix no position from i on
+    for j, ((a, start, end, b), _) in enumerate(shapes):
+        done[n - b] |= 1 << j
+        for i in range(a, n - b):
+            fixes[i][x[start + i - a]] |= 1 << j
+    for i in range(n):
+        done[i + 1] |= done[i]
+    full = (1 << len(shapes)) - 1
+    steps = []  # [i][s]: shapes that leave position i free or fix it to s
+    for row in fixes:
+        free = full ^ reduce(or_, row)
+        steps.append([free | mask for mask in row])
+    failed = [set() for _ in range(n)]
+
+    def walk(i: int, live: int, value: int, own: bool) -> int | None:
+        if i == n:
+            return None if own else value
+        if live in failed[i]:
+            return None
+        for s, step in enumerate(steps[i]):
+            kept = live & step
+            if not kept & done[i + 1]:
+                w = walk(i + 1, kept, value * d + s, own and s == x[i])
+                if w is not None:
+                    return w
+        if not own:
+            failed[i].add(live)
+        return None
+
+    return walk(0, full, 0, True)
 
 
 def ball_bfs(g: DeBruijnGraph, x: int, t: int) -> VertexSet:
@@ -173,7 +225,7 @@ def ball_closed_form(x: DBString, t: int) -> VertexSet:
     v, top = encode(x), x.d ** x.n
     buf = bytearray((top + 7) >> 3)
     buf[v >> 3] |= 1 << (v & 7)
-    for divisor, modulus, run, stride in _shapes(x.d, x.n, t):
+    for _, (divisor, modulus, run, stride) in _shapes(x.d, x.n, t):
         start = v // divisor % modulus * run
         for first in range(start, top, stride):
             end = first + run

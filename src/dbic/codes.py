@@ -136,11 +136,12 @@ def _ball_bound(g: DeBruijnGraph, r: int) -> int:
     return min(g.vertex_count, sum((2 * g.d) ** k for k in range(r + 1)))
 
 
-def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
-             ) -> list[int]:
+def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None,
+             words: array | None = None) -> list[int]:
     """A label per vertex for B_t(v), or for B_t(v) & code: equal labels
     iff equal sets, label 0 iff the set is empty, and the other labels
-    numbered from 1 in order of first appearance."""
+    numbered from 1 in order of first appearance.  `words`, with no code,
+    are stripe 0's grown words if the caller has them (`_twin_words`)."""
     count = g.vertex_count
     if t >= g.n:  # the diameter is n, so every ball is V
         return [0 if code == 0 else 1] * count
@@ -148,7 +149,10 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None
     flags = None if code is None else format(code, f"0{count}b")[::-1] \
         .encode().translate(bytes.maketrans(b"01", b"\0\xff"))
     if HASH_COLUMNS_PER_ID * m < count:  # word stripes, confirmed below
-        labels = _row_labels(g.grow_words(_start_words(count, flags), t))
+        if words is None:
+            words = g.grow_words(_start_words(count, flags), t)
+        labels = _row_labels(words)
+        del words
         for stripe in range(1, -(-m // 64)):
             if labels[-1] == count:
                 break  # labels 1..N, so every vertex has a set of its own
@@ -291,22 +295,42 @@ def _first_pairs(labels: list[int]) -> tuple[list[tuple[int, int]], int]:
     return list(islice(_pairs(labels), 10)), total
 
 
-def _twin_free(g: DeBruijnGraph, t: int) -> bool:
-    """True only if no two balls are equal, tried at t = 1 on one stripe of
-    words (False elsewhere): twins are adjacent there, and equal balls grow
-    equal words.  Vertex k*d^(n-1) + s has out-neighbours s*d + a, so block
+def _twin_words(g: DeBruijnGraph, t: int) -> array | None:
+    """Stripe 0's grown words, the ones `_twin_free` compares, at t = 1 when
+    one stripe of words labels the balls; None elsewhere."""
+    count, m = g.vertex_count, _ball_bound(g, t)
+    # A ball of more than 64 ids all but fills its word, and adjacent words
+    # meet: from B(40,2) (m = 81) on, the check only added to the labels.
+    if t != 1 or m > 64 or HASH_COLUMNS_PER_ID * m >= count:
+        return None
+    return g.grow_words(_start_words(count, None), t)
+
+
+def _twin_labels(g: DeBruijnGraph, t: int) -> list[int] | None:
+    """None if `_twin_free` proves that no two balls are equal, else the
+    labels of `_classes`, handed the words that the check grew."""
+    rows = _twin_words(g, t)
+    if rows is not None and _twin_free(g, t, rows):
+        return None
+    return _classes(g, t, words=rows)
+
+
+def _twin_free(g: DeBruijnGraph, t: int, rows: array | None = None) -> bool:
+    """True only if no two balls are equal, tried on the words of
+    `_twin_words` (grown here unless given; False if there are none):
+    twins at t = 1 are adjacent, and equal balls grow equal words.  Vertex
+    k*d^(n-1) + s has out-neighbours s*d + a, so block
     k of d^(n-1) lanes is compared with rows[a::d] for each symbol a, which
     meets every edge; a^n, its own out-neighbour for a, is set apart.  A
     lane of the XOR is 0 iff bit 63 of (its low 63 bits + 2^63 - 1) |
     itself is clear, tested for all lanes at once.  False proves nothing:
     the exact classes decide."""
-    count, d, m = g.vertex_count, g.d, _ball_bound(g, t)
-    # A ball of more than 64 ids all but fills its word, and adjacent words
-    # meet: from B(40,2) (m = 81) on, the check only added to the labels.
-    if t != 1 or m > 64 or HASH_COLUMNS_PER_ID * m >= count:
-        return False
-    rows = g.grow_words(_start_words(count, None), t)
-    high = count // d
+    if rows is None:
+        rows = _twin_words(g, t)
+        if rows is None:
+            return False
+    d = g.d
+    high = len(rows) // d
     blocks = [int.from_bytes(rows[k * high:(k + 1) * high], "little")
               for k in range(d)]
     top = int.from_bytes((bytes(7) + b"\x80") * high, "little")
@@ -325,16 +349,18 @@ def _twin_free(g: DeBruijnGraph, t: int) -> bool:
 def find_twins(g: DeBruijnGraph, t: int) -> list[TwinPair]:
     """All unordered twin pairs; empty iff the graph is t-identifiable."""
     _check_t(t)
-    if _twin_free(g, t):
+    labels = _twin_labels(g, t)
+    if labels is None:
         return []
-    return [TwinPair(x=x, y=y, t=t) for x, y in _pairs(_classes(g, t))]
+    return [TwinPair(x=x, y=y, t=t) for x, y in _pairs(labels)]
 
 
 def is_identifiable(g: DeBruijnGraph, t: int) -> tuple[bool, TwinPair | None]:
     """True iff no twins; on False the lexicographically first pair, the
     first two members of the class whose first member is smallest."""
     _check_t(t)
-    first = None if _twin_free(g, t) else next(_pairs(_classes(g, t)), None)
+    labels = _twin_labels(g, t)
+    first = None if labels is None else next(_pairs(labels), None)
     if first:
         return False, TwinPair(x=first[0], y=first[1], t=t)
     return True, None
@@ -374,11 +400,12 @@ def _constraints(g: DeBruijnGraph, t: int) -> tuple[list, array, array]:
     target: target i is balls[first[i]] ^ balls[second[i]].  The pairs
     within 2t are read off a copy of the ball rows grown t more rounds."""
     _check_t(t)
-    if not _twin_free(g, t):
-        twins, total = _first_pairs(_classes(g, t))
-        if twins:
-            raise InfeasibleNoCode([TwinPair(x=x, y=y, t=t)
-                                    for x, y in twins], total)
+    labels = _twin_labels(g, t)
+    twins, total = ([], 0) if labels is None else _first_pairs(labels)
+    del labels
+    if twins:
+        raise InfeasibleNoCode([TwinPair(x=x, y=y, t=t) for x, y in twins],
+                               total)
     # |B_r| <= sum_{k<=r} (2d)^k and no distance exceeds n, so there are at
     # most N + N(m-1)/2 targets of N bits each.
     count = g.vertex_count

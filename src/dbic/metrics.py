@@ -1,13 +1,17 @@
 """Shortest-path distances, eccentricity, radius/diameter, and antipodal
 vertex construction on B(d, n).
 
-Distances and eccentricities run on the graph's breadth-first kernel
-(`DeBruijnGraph.bfs_layers`).  An eccentricity is the depth of the last
-layer, so no distance array is held.  The per-vertex table, which names a
-witness for each vertex, runs the kernel once per vertex.  The diameter is
-n.  The radius takes one vertex per orbit of the automorphisms: renaming
-the symbols and reading words backwards both keep two words overlapping in
-n-1 symbols, so they map B(d, n) onto itself and keep every eccentricity.
+Distance arrays run on the graph's breadth-first kernel
+(`DeBruijnGraph.bfs_layers`).  An eccentricity runs no traversal and holds
+nothing of the graph's size: ecc(v) is one more than the largest radius
+whose ball leaves a word out, and the least word left out is its witness,
+both from the closed-form pattern walk `balls._outside`.  So the
+per-vertex table, which names a witness for each vertex, costs a walk per
+vertex, and one vertex of a graph past any memory can be asked.  The
+diameter is n.  The radius takes one vertex per orbit of the automorphisms:
+renaming the symbols and reading words backwards both keep two words
+overlapping in n-1 symbols, so they map B(d, n) onto itself and keep every
+eccentricity.
 For d >= 3 the paper's antipodal vertex (`construct_antipodal`), checked
 against the closed-form ball (`balls._ball_contains`), certifies that a
 vertex cannot lower the radius, so no traversal runs; a vertex whose
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .balls import _ball_contains
+from .balls import _ball_contains, _outside
 from .errors import InvalidParameters
 from .graph import DeBruijnGraph
 from .strings import DBString, decode, encode
@@ -68,10 +72,16 @@ def distance(g: DeBruijnGraph, x: int, y: int) -> int:
 
 
 def eccentricity(g: DeBruijnGraph, y: int) -> EccentricityReport:
-    """Depth of the last traversal layer, witnessed by its smallest id."""
-    for ecc, layer in enumerate(g.bfs_layers(y)):
-        pass
-    return EccentricityReport(vertex=y, eccentricity=ecc, witness=min(layer))
+    """The greatest distance from y, witnessed by the smallest id that far,
+    with no traversal: the first radius t, from n-1 down, whose ball
+    B_t(y) leaves a word out (`balls._outside`) gives ecc(y) = t+1, and
+    the least word outside is the witness.  The graph only checks y."""
+    g._check_vertex(y)
+    for t in range(g.n - 1, -1, -1):
+        far = _outside(g.d, g.n, t, y)
+        if far is not None:
+            return EccentricityReport(vertex=y, eccentricity=t + 1,
+                                      witness=far)
 
 
 def eccentricity_table(g: DeBruijnGraph) -> list[EccentricityReport]:

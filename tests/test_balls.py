@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbic.balls import (BFB, FBF, Pattern, _ball_contains, _run_triples,
-                        _shape, _shapes, all_balls, ball_bfs,
+from dbic.balls import (BFB, FBF, Pattern, _ball_contains, _outside,
+                        _run_triples, _shape, _shapes, all_balls, ball_bfs,
                         ball_closed_form, prefix_bound,
                         prefix_bound_corrected, prefix_margin, prefix_set)
 from dbic.errors import InvalidParameters, NotApplicable
@@ -268,6 +268,47 @@ class TestClosedForm:
         assert ball & ball_bfs(g, v, t + 1) == ball  # monotone in t
         w = data.draw(st.integers(0, g.vertex_count - 1))
         assert bool((ball >> w) & 1) == bool((ball_bfs(g, w, t) >> v) & 1)
+
+
+class TestOutside:
+    @pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 33)
+                                     for n in range(1, 9) if d ** n <= 256])
+    def test_equals_bfs(self, d, n):
+        """On every vertex at every radius 0..n, the walk gives the least
+        id farther than t by BFS, or None when there is none."""
+        g = DeBruijnGraph(d, n)
+        wrong = []
+        for v in range(g.vertex_count):
+            dist = bfs_distances(g, v)
+            for t in range(n + 1):
+                far = next((w for w, k in enumerate(dist) if k > t), None)
+                if _outside(d, n, t, v) != far:
+                    wrong.append((v, t))
+        assert wrong == []
+
+    @pytest.mark.parametrize("d,n", [(2, 10), (2, 13), (3, 7), (4, 5)])
+    def test_least_outside_and_none_past_eccentricity(self, d, n):
+        """The answer lies outside the ball and every smaller id other than
+        v inside it, and it is None exactly when t >= ecc(v)."""
+        g = DeBruijnGraph(d, n)
+        rng = random.Random(d * 100 + n)
+        for v in rng.sample(range(g.vertex_count), 12):
+            dist = bfs_distances(g, v)
+            ecc = max(dist)
+            for t in range(n + 1):
+                w = _outside(d, n, t, v)
+                assert (w is None) == (t >= ecc), (v, t)
+                if w is not None:
+                    assert w != v and dist[w] > t, (v, t)
+                    assert max(dist[:w], default=0) <= t, (v, t)
+
+    def test_complete_graphs(self):
+        """B(d,1) for d up to 256, past the BFS check above, is the complete
+        graph: every other id lies at distance 1."""
+        for d in range(2, 257):
+            for v in (0, 1, d - 1):
+                assert _outside(d, 1, 0, v) == (1 if v == 0 else 0)
+                assert _outside(d, 1, 1, v) is None
 
 
 def or_loop(ids):

@@ -290,6 +290,14 @@ class TestEccCommand:
         assert len(calls) == 81
         assert len(list(csv.reader(target.open()))) == 82
 
+    def test_vertex_past_the_cap_under_1_gib(self):
+        """1^n lies n from 0^n, and the walk holds nothing of size 2^40."""
+        proc = run_capped("ecc", "2", "40", "--vertex", "0" * 40,
+                          "--max-vertices", str(2 ** 40))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        payload = json.loads(proc.stdout)
+        assert (payload["vertex"], payload["eccentricity"]) == ("0" * 40, 40)
+
     def spy_traversals(self, monkeypatch):
         calls = []
         layers = DeBruijnGraph.bfs_layers

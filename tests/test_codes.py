@@ -693,6 +693,25 @@ class TestTwinFree:
         assert not codes._twin_free(g, 1)
         self.assert_twins(g)
 
+    @pytest.mark.parametrize("d,n,forced", [(2, 8, False), (3, 5, True),
+                                            (4, 4, True)])
+    def test_shared_words_grow_stripe_zero_once(self, d, n, forced,
+                                                monkeypatch):
+        """When adjacent vertices share a word, the labels start from the
+        words the check grew: one stripe per call, and the same pairs."""
+        g = DeBruijnGraph(d, n)
+        pairs = list(codes._pairs(reference_labels(g, 1)))
+        if forced:
+            TestClassKernels.force(monkeypatch, "words", g)
+        TestClassKernels.narrow_words(monkeypatch)
+        assert not codes._twin_free(g, 1)
+        called = TestClassKernels.kernels(monkeypatch)
+        assert is_identifiable(g, 1) == (
+            (False, TwinPair(*pairs[0], t=1)) if pairs else (True, None))
+        assert called == ["grow_words"]
+        assert [(p.x, p.y) for p in find_twins(g, 1)] == pairs
+        assert called == ["grow_words"] * 2
+
     @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 2)])
     def test_equal_words_count_only_across_edges(self, d, n, monkeypatch):
         """Given distinct words, one pair of equal words makes the test fail

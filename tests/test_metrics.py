@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -97,6 +98,69 @@ class TestEccentricity:
             "011": (2, "000"), "100": (2, "011"), "101": (3, "000"),
             "110": (2, "000"), "111": (3, "000"),
         }
+
+
+def bfs_eccentricity(g, v):
+    """(eccentricity, smallest id that far) from a whole BFS."""
+    dist = bfs_distances(g, v)
+    far = max(dist)
+    return far, dist.index(far)
+
+
+class TestEccentricityWalk:
+    @pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 33)
+                                     for n in range(1, 11)
+                                     if d ** n <= 1024])
+    def test_every_vertex_matches_bfs(self, d, n):
+        g = DeBruijnGraph(d, n)
+        got = [(r.eccentricity, r.witness) for r in eccentricity_table(g)]
+        assert got == [bfs_eccentricity(g, v)
+                       for v in range(g.vertex_count)]
+
+    @pytest.mark.parametrize("d,n", [(2, 12), (3, 7)])
+    def test_seeded_vertices_match_bfs(self, d, n):
+        g = DeBruijnGraph(d, n)
+        for v in random.Random(d * 100 + n).sample(range(g.vertex_count),
+                                                   200):
+            rep = eccentricity(g, v)
+            assert (rep.eccentricity, rep.witness) == bfs_eccentricity(g, v)
+
+    def test_runs_no_traversal(self, monkeypatch):
+        calls = []
+        layers = DeBruijnGraph.bfs_layers
+        monkeypatch.setattr(
+            DeBruijnGraph, "bfs_layers", lambda g, v, radius=None:
+            calls.append(v) or layers(g, v, radius))
+        g = DeBruijnGraph(2, 10)
+        eccentricity_table(g)
+        eccentricity(DeBruijnGraph(3, 6), 100)
+        assert calls == []
+
+    def test_memory_is_not_of_the_graph(self):
+        """B(2,19) has 524,288 vertices, so a byte per vertex alone would
+        be half a MiB."""
+        g = DeBruijnGraph(2, 19)
+        for v in (0, 66172, 2 ** 19 - 1):
+            tracemalloc.start()
+            try:
+                eccentricity(g, v)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20, v
+
+    def test_complete_graphs(self):
+        """B(d,1) for d up to 1,024, past the BFS check above, is the
+        complete graph: every other id lies at distance 1."""
+        for d in range(33, 1025):
+            g = DeBruijnGraph(d, 1)
+            for v in (0, d - 1):
+                assert eccentricity(g, v) == metrics.EccentricityReport(
+                    vertex=v, eccentricity=1, witness=1 if v == 0 else 0)
+
+    def test_checks_the_vertex(self):
+        with pytest.raises(InvalidParameters):
+            eccentricity(DeBruijnGraph(2, 3), 8)
 
 
 class TestRadiusDiameter:
