@@ -27,12 +27,16 @@ row).  Column stripes stop once every vertex has a nonzero label of its
 own, word stripes once every nonzero label is unique or after one that
 splits no class.  For t >= n every ball is V (the diameter is n).
 
-At t = 1 twins are adjacent, as B_1(x) = B_1(y) puts x in B_1(y), and
-equal balls grow equal words.  So on one stripe of words (m <= 64) twin
-detection first compares the word of each vertex with those of its d
-out-neighbours, which meets every edge (`_twin_free`): if no two are
-equal, no two balls are, and no label is built.  Otherwise the labels
-decide.
+At t = 1 < n twin detection builds no rows.  B_1(x) = B_1(y) puts y in
+B_1(x), so twins are adjacent; name them so that y = x[1:]a.  The d
+out-neighbours x[2:]ab of y then lie in B_1(x) = {x, x[1:]c, c x[:-1]},
+and share the prefix p = x[2:]a.  B_1(x) holds d words with prefix p only
+if x[1:] = p, so x = c a^(n-1) and y = a^n, one orbit under the renaming of
+symbols.  Else it holds at most x (if x[:-1] = p) and one in-neighbour (if
+x[:-2] = p[1:]), which takes d = 2 and both: x[i] = x[i+2] and x[n-3] =
+x[n-2] = a, so x = a^n = y past n = 2, and {x, y} = {01, 10} at n = 2.  So
+the exact balls of at most two edges decide (`_twin_edges`), and only
+B(2,2), whose 01 and 10 are twins, goes on to the labels.
 
 Both search routines run on the hitting-set reformulation: S is valid iff
 it intersects every ball and every symmetric difference of balls of
@@ -136,12 +140,11 @@ def _ball_bound(g: DeBruijnGraph, r: int) -> int:
     return min(g.vertex_count, sum((2 * g.d) ** k for k in range(r + 1)))
 
 
-def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None,
-             words: array | None = None) -> list[int]:
+def _classes(g: DeBruijnGraph, t: int,
+             code: VertexSet | None = None) -> list[int]:
     """A label per vertex for B_t(v), or for B_t(v) & code: equal labels
     iff equal sets, label 0 iff the set is empty, and the other labels
-    numbered from 1 in order of first appearance.  `words`, with no code,
-    are stripe 0's grown words if the caller has them (`_twin_words`)."""
+    numbered from 1 in order of first appearance."""
     count = g.vertex_count
     if t >= g.n:  # the diameter is n, so every ball is V
         return [0 if code == 0 else 1] * count
@@ -149,10 +152,7 @@ def _classes(g: DeBruijnGraph, t: int, code: VertexSet | None = None,
     flags = None if code is None else format(code, f"0{count}b")[::-1] \
         .encode().translate(bytes.maketrans(b"01", b"\0\xff"))
     if HASH_COLUMNS_PER_ID * m < count:  # word stripes, confirmed below
-        if words is None:
-            words = g.grow_words(_start_words(count, flags), t)
-        labels = _row_labels(words)
-        del words
+        labels = _row_labels(g.grow_words(_start_words(count, flags), t))
         for stripe in range(1, -(-m // 64)):
             if labels[-1] == count:
                 break  # labels 1..N, so every vertex has a set of its own
@@ -295,55 +295,25 @@ def _first_pairs(labels: list[int]) -> tuple[list[tuple[int, int]], int]:
     return list(islice(_pairs(labels), 10)), total
 
 
-def _twin_words(g: DeBruijnGraph, t: int) -> array | None:
-    """Stripe 0's grown words, the ones `_twin_free` compares, at t = 1 when
-    one stripe of words labels the balls; None elsewhere."""
-    count, m = g.vertex_count, _ball_bound(g, t)
-    # A ball of more than 64 ids all but fills its word, and adjacent words
-    # meet: from B(40,2) (m = 81) on, the check only added to the labels.
-    if t != 1 or m > 64 or HASH_COLUMNS_PER_ID * m >= count:
-        return None
-    return g.grow_words(_start_words(count, None), t)
+def _twin_edges(g: DeBruijnGraph) -> list[tuple[int, int]]:
+    """One edge of each orbit that can join twins at t = 1 < n (module
+    docstring)."""
+    edges = [(g.vertex_count // g.d, 0)]  # 1 0^(n-1) and 0^n
+    if (g.d, g.n) == (2, 2):
+        edges.append((1, 2))  # 01 and 10
+    return edges
 
 
 def _twin_labels(g: DeBruijnGraph, t: int) -> list[int] | None:
-    """None if `_twin_free` proves that no two balls are equal, else the
-    labels of `_classes`, handed the words that the check grew."""
-    rows = _twin_words(g, t)
-    if rows is not None and _twin_free(g, t, rows):
+    """None if no two balls are equal, which at t = 1 < n takes only the
+    exact closed neighbourhoods of `_twin_edges`; else `_classes`."""
+    def closed(v):
+        return {v, *g.neighbor_ids(v)}
+
+    if t == 1 < g.n and all(closed(x) != closed(y)
+                            for x, y in _twin_edges(g)):
         return None
-    return _classes(g, t, words=rows)
-
-
-def _twin_free(g: DeBruijnGraph, t: int, rows: array | None = None) -> bool:
-    """True only if no two balls are equal, tried on the words of
-    `_twin_words` (grown here unless given; False if there are none):
-    twins at t = 1 are adjacent, and equal balls grow equal words.  Vertex
-    k*d^(n-1) + s has out-neighbours s*d + a, so block
-    k of d^(n-1) lanes is compared with rows[a::d] for each symbol a, which
-    meets every edge; a^n, its own out-neighbour for a, is set apart.  A
-    lane of the XOR is 0 iff bit 63 of (its low 63 bits + 2^63 - 1) |
-    itself is clear, tested for all lanes at once.  False proves nothing:
-    the exact classes decide."""
-    if rows is None:
-        rows = _twin_words(g, t)
-        if rows is None:
-            return False
-    d = g.d
-    high = len(rows) // d
-    blocks = [int.from_bytes(rows[k * high:(k + 1) * high], "little")
-              for k in range(d)]
-    top = int.from_bytes((bytes(7) + b"\x80") * high, "little")
-    low = int.from_bytes((b"\xff" * 7 + b"\x7f") * high, "little")
-    for a, loop in enumerate(g.loop_vertices()):
-        out = int.from_bytes(rows[a::d], "little")  # lane s: s*d + a's word
-        for k, block in enumerate(blocks):
-            z = block ^ out
-            if k == a:  # lane a^(n-1) of block a is a^n itself
-                z |= 1 << 64 * (loop % high)
-            if ((z & low) + low | z) & top != top:
-                return False  # a vertex shares its word with an out-neighbour
-    return True
+    return _classes(g, t)
 
 
 def find_twins(g: DeBruijnGraph, t: int) -> list[TwinPair]:

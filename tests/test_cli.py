@@ -141,9 +141,10 @@ class TestCheckCommand:
         assert peak_kib < 2 ** 20
 
     def test_out_of_memory_exits_2(self):
-        """check 2 30 1 under a raised vertex cap cannot fit in a 1 GiB
-        address space: it exits 2 with one error line, not a traceback."""
-        proc = run_capped("check", "2", "30", "1",
+        """check 2 30 2 under a raised vertex cap, whose words take 8 GiB,
+        cannot fit in a 1 GiB address space: it exits 2 with one error
+        line, not a traceback."""
+        proc = run_capped("check", "2", "30", "2",
                           "--max-vertices", "2000000000")
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ")

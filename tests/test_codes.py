@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from collections import Counter
 from functools import reduce
 from operator import and_, or_
 from pathlib import Path
@@ -627,10 +628,15 @@ SMALL_GRAPHS = [(d, n) for d in range(2, 6) for n in range(1, 13)
                 if d ** n <= 4096]
 
 
+# Every B(d, n) with n >= 2 and d^n <= 4,096: d up to 64 at n = 2.
+EDGE_GRAPHS = [(d, n) for n in range(2, 13) for d in range(2, 65)
+               if d ** n <= 4096]
+
+
 class TestTwinFree:
-    """At t = 1 twins are adjacent, so on one stripe of words a graph none
-    of whose adjacent vertices share a word is twin-free with no labels
-    built; a shared word falls through to the exact classes."""
+    """At t = 1 < n only the edges of `codes._twin_edges` can join twins, so
+    their exact balls decide, and no row, word, label or traversal is
+    built; B(2,2), whose 01 and 10 are twins, goes on to the labels."""
 
     @staticmethod
     def assert_twins(g):
@@ -642,20 +648,44 @@ class TestTwinFree:
             (False, TwinPair(*pairs[0], t=1)) if pairs else (True, None))
         return pairs
 
+    @pytest.mark.parametrize("d,n", EDGE_GRAPHS)
+    def test_candidate_edges_are_complete(self, d, n):
+        """Twins x, y at t = 1 are adjacent, say y = x[1:]a, and then the
+        out-neighbours of y lie in B_1(x).  Every edge where they do, found
+        by brute force, is in the orbit (c a^(n-1), a^n) under renaming,
+        which one listed edge decides, or is itself listed; besides that
+        orbit only 01 and 10 of B(2,2) pass."""
+        g = DeBruijnGraph(d, n)
+        high = g.vertex_count // d
+        loops = set(g.loop_vertices())
+
+        def orbit(x, y):  # y = a^n and x = c a^(n-1) with c != a
+            return y in loops and x != y and x % high == y % high
+
+        listed = codes._twin_edges(g)
+        assert [orbit(x, y) for x, y in listed].count(True) == 1
+        passed = []
+        for x in range(g.vertex_count):
+            # y's out-neighbours are the d ids w with w // d == y % high
+            inside = Counter(w // d for w in [x, *g.neighbor_ids(x)])
+            for y in range(x % high * d, x % high * d + d):
+                if y != x and inside[y % high] == d:
+                    passed.append((x, y))
+        assert all(orbit(x, y) or (x, y) in listed or (y, x) in listed
+                   for x, y in passed)
+        assert len(passed) == d * (d - 1) + 2 * ((d, n) == (2, 2))
+
     @pytest.mark.parametrize("d,n", SMALL_GRAPHS)
     @pytest.mark.parametrize("path", ["unforced", "words"])
     def test_matches_reference(self, d, n, path, monkeypatch):
         """B(d,1) (every ball is V) and B(2,2) (01 and 10) are the only
-        cells with twins, and keep their first pair forced onto words.  No
-        two adjacent vertices of the others share a word of this draw, so
-        on words adjacent pairs alone decide them."""
+        cells with twins, and keep their first pair forced onto words; the
+        edge check proves every other cell twin-free."""
         g = DeBruijnGraph(d, n)
         if path == "words":
             TestClassKernels.force(monkeypatch, path, g)
-        words = codes.HASH_COLUMNS_PER_ID * codes._ball_bound(g, 1) \
-            < g.vertex_count
         pairs = self.assert_twins(g)
-        assert codes._twin_free(g, 1) == (words and not pairs)
+        assert (codes._twin_labels(g, 1) is None) == (n > 1 and not pairs)
         if n == 1 or (d, n) == (2, 2):
             assert pairs[0] == ((0, 1) if n == 1 else (1, 2))
         else:
@@ -667,91 +697,48 @@ class TestTwinFree:
         B(2,4) at t=2, are still found on words."""
         g = DeBruijnGraph(d, n)
         TestClassKernels.force(monkeypatch, "words", g)
-        assert not codes._twin_free(g, t)
+        called = TestClassKernels.kernels(monkeypatch)
         pairs = list(codes._pairs(reference_labels(g, t)))
         assert pairs
         assert [(p.x, p.y) for p in find_twins(g, t)] == pairs
-
-    def test_balls_past_one_word_skip_the_check(self, monkeypatch):
-        """B(40,2) t=1 has m = 81, so its labels take two stripes of words,
-        and the check, whose words adjacent vertices would share, grows
-        none."""
-        g = DeBruijnGraph(40, 2)
-        called = TestClassKernels.kernels(monkeypatch)
-        assert not codes._twin_free(g, 1)
-        assert called == []
-        assert is_identifiable(g, 1) == (True, None)
+        assert "grow_words" in called
 
     @pytest.mark.parametrize("d,n", [(2, 3), (2, 8), (3, 5), (4, 4),
                                      (5, 3), (5, 1)])
     def test_shared_words_fall_through(self, d, n, monkeypatch):
-        """Narrow words collide across edges, so the exact classes run and
-        give the same answers."""
+        """Narrow words, which adjacent vertices share, change no answer
+        at t = 1: the check grows no words, and B(5,1), where t >= n,
+        needs none."""
         g = DeBruijnGraph(d, n)
         TestClassKernels.force(monkeypatch, "words", g)
         TestClassKernels.narrow_words(monkeypatch)
-        assert not codes._twin_free(g, 1)
-        self.assert_twins(g)
-
-    @pytest.mark.parametrize("d,n,forced", [(2, 8, False), (3, 5, True),
-                                            (4, 4, True)])
-    def test_shared_words_grow_stripe_zero_once(self, d, n, forced,
-                                                monkeypatch):
-        """When adjacent vertices share a word, the labels start from the
-        words the check grew: one stripe per call, and the same pairs."""
-        g = DeBruijnGraph(d, n)
-        pairs = list(codes._pairs(reference_labels(g, 1)))
-        if forced:
-            TestClassKernels.force(monkeypatch, "words", g)
-        TestClassKernels.narrow_words(monkeypatch)
-        assert not codes._twin_free(g, 1)
         called = TestClassKernels.kernels(monkeypatch)
-        assert is_identifiable(g, 1) == (
-            (False, TwinPair(*pairs[0], t=1)) if pairs else (True, None))
-        assert called == ["grow_words"]
-        assert [(p.x, p.y) for p in find_twins(g, 1)] == pairs
-        assert called == ["grow_words"] * 2
-
-    @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 2)])
-    def test_equal_words_count_only_across_edges(self, d, n, monkeypatch):
-        """Given distinct words, one pair of equal words makes the test fail
-        iff the pair is an edge: every symbol's out-neighbours are read, and
-        only a^n's own lane is set apart.  The words include 2^63, 0, 1 and
-        2^64 - 1, so lanes that differ in bit 63 alone or in bit 0 alone
-        count as different."""
-        g = DeBruijnGraph(d, n)
-        count = g.vertex_count
-        TestClassKernels.force(monkeypatch, "words", g)
-        rng = random.Random(count)
-        words = array("Q", [2 ** 63, 0, 1, 2 ** 64 - 1]
-                      + rng.sample(range(2, 2 ** 63), count - 4))
-        monkeypatch.setattr(DeBruijnGraph, "grow_words",
-                            lambda self, rows, radius: array("Q", words))
-        assert codes._twin_free(g, 1)
-        for x in range(count):
-            for y in range(x + 1, count):
-                kept, words[y] = words[y], words[x]
-                assert codes._twin_free(g, 1) == (
-                    y not in g.neighbor_ids(x)), (x, y)
-                words[y] = kept
+        self.assert_twins(g)
+        assert called == []
 
     @pytest.mark.parametrize("call", [is_identifiable, find_twins,
                                       build_constraints])
     def test_twin_free_cell_builds_no_labels(self, call, monkeypatch):
-        """B(2,12) t=1 (B(2,8) for the constraints) grows its words once
-        and needs no labels, no confirmation and no traversal."""
+        """B(2,12) t=1 (B(2,8) for the constraints) is decided with no
+        words, rows, labels, confirmation or traversal; the constraints
+        build their own balls only once the check has returned."""
         called = []
         for owner, name in [(DeBruijnGraph, "grow_words"),
+                            (DeBruijnGraph, "grow_rows"),
                             (DeBruijnGraph, "bfs_layers"),
-                            (codes, "_row_labels"), (codes, "_confirm")]:
+                            (codes, "_row_labels"), (codes, "_confirm"),
+                            (codes, "_twin_labels")]:
             def spy(*args, name=name, real=getattr(owner, name)):
+                out = real(*args)
                 called.append(name)
-                return real(*args)
+                return out
 
             monkeypatch.setattr(owner, name, spy)
         n = 8 if call is build_constraints else 12
         call(DeBruijnGraph(2, n), 1)
-        assert called == ["grow_words"]
+        assert called[0] == "_twin_labels"
+        if call is not build_constraints:
+            assert called == ["_twin_labels"]
 
 
 class TestVerifyCode:
@@ -1229,12 +1216,12 @@ class TestMemoryBound:
             < self.LIMIT
 
     def test_twin_free_peak(self):
-        """B(2,19) t=1 (524,288 vertices) is decided from the words of
-        adjacent vertices, and peaks at 26,800,596 bytes here, in
-        `grow_words`; a set of all N words and a label per vertex peaked at
-        84,499,977.  The bound allows 10% above the former."""
+        """B(2,19) t=1 (524,288 vertices) is decided from the closed
+        neighbourhoods of two vertices, and peaks at 2,064 bytes here; the
+        words of adjacent vertices peaked at 26,800,596.  The bound, 16 KiB,
+        is below one bit per vertex (64 KiB)."""
         assert peak_bytes(is_identifiable, DeBruijnGraph(2, 19), 1) \
-            < 26_800_596 * 11 // 10
+            < 16 * 2 ** 10
 
     def test_verify_code_peak(self):
         g = DeBruijnGraph(2, 14)
