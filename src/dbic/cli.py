@@ -187,6 +187,9 @@ def cmd_check(args) -> int:
 def cmd_code(args) -> int:
     g = _graph(args)
     _check_budget(args)
+    if args.budget is not None and (args.greedy or args.verify):
+        raise InvalidParameters("--budget applies only to the exact search",
+                                mode="greedy" if args.greedy else "verify")
     if args.verify:
         payload = _read_code_file(args.verify)
         for key, expected in (("d", g.d), ("n", g.n), ("t", args.t)):

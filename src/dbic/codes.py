@@ -50,7 +50,11 @@ size, the smallest at the top bit, each formed from its pair's balls only
 for its clash mask or branch list: a child is one AND, and the packing bound
 jumps by clash masks up to the incumbent's gap.  Its stack holds a frame per
 expanded node; each frame is popped once and its children walked in place,
-and a frame with a child to expand goes back under the child's.
+and a frame with a child to expand goes back under the child's.  A frame's
+subtree is a function of its unsatisfied targets and its room to the gap
+while it holds no hit, as the same set chosen in another order leaves the
+same targets; so the node count of each such subtree is kept, and a child
+that would repeat one adds the count instead of being expanded.
 """
 
 from __future__ import annotations
@@ -455,8 +459,13 @@ def min_code(g: DeBruijnGraph, t: int,
     packs disjoint targets, first first, dropping those that meet each one
     through its clash mask, and stops at the gap to the incumbent.  Nodes
     branch on each vertex of their first target, depth first on an explicit
-    stack.  With no budget, graphs above `DEFAULT_EXACT_CAP` vertices get
-    `DEFAULT_NODE_BUDGET`; `optimal` reports whether the search completed.
+    stack.  A subtree searched to the end with no hit is counted, not
+    searched, when the same targets and room come again: `nodes` counts it
+    in full, and a budget that runs out inside it stops one node past the
+    budget as the search would.  It is kept only if it cost more nodes than
+    its key has 64-bit words.  With no budget, graphs above
+    `DEFAULT_EXACT_CAP` vertices get `DEFAULT_NODE_BUDGET`; `optimal`
+    reports whether the search completed.
     """
     if node_budget is not None and node_budget < 0:
         raise InvalidParameters("node budget must be >= 0", budget=node_budget)
@@ -481,9 +490,14 @@ def min_code(g: DeBruijnGraph, t: int,
         keep[v] = everything ^ row  # the targets that miss v
     spare: list = [None] * len(first)  # complement of each clash mask
     branch: list = [None] * len(first)  # (1 << v, keep[v]) for v in target
-    nodes, stack = 0, [(iter([(0, everything)]), 0, 0, everything)]
-    while stack:  # children, parent's chosen, their size, parent's targets
-        children, chosen, size, unsatisfied = stack.pop()
+    # seen[room][targets]: the nodes below a frame that ran out of children
+    # with no hit below it, so with best_size, and its room, as pushed
+    seen: list = [{} for _ in range(best_size)]
+    nodes = hit = 0  # hit: the node count at the last hit
+    stack = [(iter([(0, everything)]), 0, 0, everything, 0)]
+    while stack:  # children, parent's chosen, their size, parent's targets,
+        # and the node count when the frame was pushed
+        children, chosen, size, unsatisfied, start = stack.pop()
         if size >= best_size:
             continue  # no child left could beat the incumbent
         # targets a child's packing may take past its first; best_size
@@ -496,7 +510,7 @@ def min_code(g: DeBruijnGraph, t: int,
                                      nodes=nodes)
             left = rest = unsatisfied & keeps
             if not left:
-                best, best_size = chosen | bit, size
+                best, best_size, hit = chosen | bit, size, nodes
                 break
             packed = room
             while rest and packed:  # expand iff the packing ends first
@@ -507,12 +521,24 @@ def min_code(g: DeBruijnGraph, t: int,
                 rest &= spare[i]
             if rest:
                 continue  # the packing reached the gap: pruned
+            below = seen[room - 1].get(left)
+            if below is not None:  # searched before, and holds no hit
+                nodes += below
+                if node_budget is not None and nodes > node_budget:
+                    return MinCodeResult(best, best_size, optimal=False,
+                                         nodes=node_budget + 1)
+                continue
             i = left.bit_length() - 1
             if branch[i] is None:
                 branch[i] = [(1 << v, keep[v]) for v in members(i)]
-            stack.append((children, chosen, size, unsatisfied))
-            stack.append((iter(branch[i]), chosen | bit, size + 1, left))
+            stack.append((children, chosen, size, unsatisfied, start))
+            stack.append((iter(branch[i]), chosen | bit, size + 1, left,
+                          nodes))
             break
+        else:  # out of children: kept if no hit came since it was pushed
+            # and it cost more nodes than its key has 64-bit words
+            if hit < start and (nodes - start) * 64 > unsatisfied.bit_length():
+                seen[room][unsatisfied] = nodes - start
     return MinCodeResult(best, best_size, optimal=True, nodes=nodes)
 
 

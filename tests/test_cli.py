@@ -477,6 +477,22 @@ class TestInputBoundary:
         assert self.rejected(capsys, "sweep", "--d", "2", "--n", "3",
                              "--t", "1", "--budget", "-1")
 
+    def test_budget_outside_the_exact_search(self, capsys, tmp_path):
+        """Greedy and verification run no search, so a budget given to
+        them is refused rather than ignored, before the code file is
+        read."""
+        code_file = tmp_path / "code.json"
+        code_file.write_text(json.dumps({"code": ["001", "010", "011"]}))
+        for argv in (["--greedy", "--budget", "5"],
+                     ["--verify", str(code_file), "--budget", "0"],
+                     ["--verify", str(tmp_path / "missing.json"),
+                      "--budget", "5"]):
+            assert main(["code", "2", "3", "1", *argv]) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "", argv
+            assert err == "error: --budget applies only to the exact search" \
+                f" (mode={argv[0][2:]})\n", argv
+
     def test_vertex_cap_below_one(self, capsys, monkeypatch):
         assert self.rejected(capsys, "graph", "2", "3", "--max-vertices", "0")
         assert self.rejected(capsys, "sweep", "--d", "2", "--n", "3",

@@ -1174,6 +1174,24 @@ class TestSearchAgainstReference:
                 r = min_code(g, t, node_budget=budget)
                 assert (r.code, r.size, r.optimal, r.nodes) == result[:4]
 
+    @pytest.mark.parametrize("d,n,t,spread", [
+        (2, 5, 1, 40), (3, 3, 1, 40), (2, 5, 2, 40), (4, 2, 1, None)])
+    def test_budget_sweep(self, d, n, t, spread):
+        """The search counts a subtree it has finished before rather than
+        searching it again, so a budget can run out inside a counted
+        subtree: about 40 budgets spread over the whole search, or every
+        budget on B(4,2) t=1, stop on the reference's node."""
+        g = DeBruijnGraph(d, n)
+        targets = build_constraints(g, t)
+        nodes = reference_search(targets, g.vertex_count)[0][3]
+        budgets = (range(nodes + 1) if spread is None else
+                   [nodes * k // spread + k for k in range(spread)]
+                   + [nodes - 1, nodes])
+        want = reference_search(targets, g.vertex_count, budgets)
+        for budget, result in zip(budgets, want):
+            r = min_code(g, t, node_budget=budget)
+            assert (r.code, r.size, r.optimal, r.nodes) == result[:4], budget
+
     # (d, n, t): (nodes, masks built by the reference, masks built now)
     MASKS = {(2, 5, 1): (119846, 149, 119), (3, 3, 1): (40430, 159, 122)}
 
@@ -1254,6 +1272,13 @@ class TestMemoryBound:
         its target list at each level peaked at 12.3 MiB here."""
         assert peak_bytes(min_code, DeBruijnGraph(2, 10), 1, 2000) \
             < self.LIMIT
+
+    def test_min_code_exact_peak(self):
+        """The search keeps the node count of each finished subtree that
+        cost more nodes than its key of unsatisfied targets has 64-bit
+        words; on B(2,5) t=1 (119,846 nodes) that peaked at 1.36 MiB
+        here, against 0.04 MiB with no subtree kept."""
+        assert peak_bytes(min_code, DeBruijnGraph(2, 5), 1) < 2 * 2 ** 20
 
     def test_min_code_forms_targets_on_demand(self):
         """The search keeps the ball table and the pair of each target, and
