@@ -48,19 +48,23 @@ from the pair (x, y) that first gave each target, as v lies in B_t(x) iff x
 lies in B_t(v).  `min_code` works on bitsets over the targets sorted by
 size, the smallest at the top bit, each formed from its pair's balls only
 for its clash mask or branch list: a child is one AND, and the packing bound
-jumps by clash masks up to the incumbent's gap.  Its stack holds a frame per
-expanded node; each frame is popped once and its children walked in place,
-and a frame with a child to expand goes back under the child's.  A frame's
-subtree is a function of its unsatisfied targets and its room to the gap
-while it holds no hit, as the same set chosen in another order leaves the
-same targets; so the node count of each such subtree is kept, and a child
-that would repeat one adds the count instead of being expanded.
+jumps by clash masks up to the incumbent's gap, its first step one test per
+child.  The frame being walked lives in the loop's variables: to expand a
+child it goes on the stack, and the child's frame is walked in its place.
+A frame with room 0, whose children beat the incumbent only by meeting every
+target, is never walked: each of its children hits or is pruned, so its
+parent settles it in one pass over its branch list, to the first hit.  A
+frame's subtree is a function of its unsatisfied targets and its room to the
+gap while it holds no hit, as the same set chosen in another order leaves
+the same targets; so the node count of each such subtree is kept, and a
+child that would repeat one adds the count instead of being expanded.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -459,11 +463,13 @@ def min_code(g: DeBruijnGraph, t: int,
     packs disjoint targets, first first, dropping those that meet each one
     through its clash mask, and stops at the gap to the incumbent.  Nodes
     branch on each vertex of their first target, depth first on an explicit
-    stack.  A subtree searched to the end with no hit is counted, not
-    searched, when the same targets and room come again: `nodes` counts it
-    in full, and a budget that runs out inside it stops one node past the
-    budget as the search would.  It is kept only if it cost more nodes than
-    its key has 64-bit words.  With no budget, graphs above
+    stack, each child's frame walked where its parent's was.  A room-0
+    frame is settled by its parent in one pass over its branch list.  A
+    subtree searched to the end with no hit is counted, not searched, when
+    the same targets and room come again: `nodes` counts it in full, and a
+    budget that runs out inside it, or inside a settled frame, stops one node
+    past the budget as the search would.  It is kept only if it cost more
+    nodes than its key has 64-bit words.  With no budget, graphs above
     `DEFAULT_EXACT_CAP` vertices get `DEFAULT_NODE_BUDGET`; `optimal`
     reports whether the search completed.
     """
@@ -488,57 +494,90 @@ def min_code(g: DeBruijnGraph, t: int,
     everything = (1 << len(first)) - 1
     for v, row in enumerate(keep):  # complemented in place: `a & ~b` is slow
         keep[v] = everything ^ row  # the targets that miss v
-    spare: list = [None] * len(first)  # complement of each clash mask
-    branch: list = [None] * len(first)  # (1 << v, keep[v]) for v in target
+    # Entry i is target i - 1's, so that a bit_length indexes it: spare[i]
+    # complements its clash mask, with bit C (above every target) set so that
+    # a mask once made is never 0, and branch[i] holds (1 << v, keep[v]) for
+    # its vertices v.
+    spare = [0] * (len(first) + 1)
+    branch: list = [None] * (len(first) + 1)
+
+    def clash(i):
+        spare[i] = reduce(and_, map(keep.__getitem__, members(i - 1))) \
+            | everything + 1
+        return spare[i]
+
+    def branch_of(i):
+        branch[i] = [(1 << v, keep[v]) for v in members(i - 1)]
+        return branch[i]
+
     # seen[room][targets]: the nodes below a frame that ran out of children
-    # with no hit below it, so with best_size, and its room, as pushed
+    # with no hit below it, so with best_size, and its room, as made
     seen: list = [{} for _ in range(best_size)]
+    limit = sys.maxsize if node_budget is None else node_budget
     nodes = hit = 0  # hit: the node count at the last hit
     stack = [(iter([(0, everything)]), 0, 0, everything, 0)]
     while stack:  # children, parent's chosen, their size, parent's targets,
-        # and the node count when the frame was pushed
+        # and the node count when the frame was made
         children, chosen, size, unsatisfied, start = stack.pop()
-        if size >= best_size:
-            continue  # no child left could beat the incumbent
-        # targets a child's packing may take past its first; best_size
-        # changes only on a hit, which ends the frame
-        room = best_size - size - 1
-        for bit, keeps in children:
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                return MinCodeResult(best, best_size, optimal=False,
-                                     nodes=nodes)
-            left = rest = unsatisfied & keeps
-            if not left:
-                best, best_size, hit = chosen | bit, size, nodes
-                break
-            packed = room
-            while rest and packed:  # expand iff the packing ends first
-                packed -= 1
-                i = rest.bit_length() - 1
-                if spare[i] is None:
-                    spare[i] = reduce(and_, map(keep.__getitem__, members(i)))
-                rest &= spare[i]
-            if rest:
-                continue  # the packing reached the gap: pruned
-            below = seen[room - 1].get(left)
-            if below is not None:  # searched before, and holds no hit
-                nodes += below
-                if node_budget is not None and nodes > node_budget:
+        while size < best_size:  # a child left could beat the incumbent
+            # targets a child's packing may take past its first
+            room = best_size - size - 1
+            for bit, keeps in children:
+                nodes += 1
+                if nodes > limit:
                     return MinCodeResult(best, best_size, optimal=False,
-                                         nodes=node_budget + 1)
-                continue
-            i = left.bit_length() - 1
-            if branch[i] is None:
-                branch[i] = [(1 << v, keep[v]) for v in members(i)]
-            stack.append((children, chosen, size, unsatisfied, start))
-            stack.append((iter(branch[i]), chosen | bit, size + 1, left,
-                          nodes))
-            break
-        else:  # out of children: kept if no hit came since it was pushed
-            # and it cost more nodes than its key has 64-bit words
-            if hit < start and (nodes - start) * 64 > unsatisfied.bit_length():
-                seen[room][unsatisfied] = nodes - start
+                                         nodes=nodes)
+                left = unsatisfied & keeps
+                if not left:
+                    best, best_size, hit = chosen | bit, size, nodes
+                    break
+                if not room:
+                    continue  # pruned: it misses a target
+                top = left.bit_length()  # its first target is top - 1
+                rest = left & (spare[top] or clash(top))
+                packed = room - 1
+                while packed and rest:  # expand iff the packing ends first
+                    packed -= 1
+                    i = rest.bit_length()
+                    rest &= spare[i] or clash(i)
+                if rest:
+                    continue  # the packing reached the gap: pruned
+                if room == 1:  # a room-0 child, settled here: each of its
+                    # children hits or is pruned
+                    pairs = branch[top] or branch_of(top)
+                    below = len(pairs)
+                    if below * 64 <= top or left not in seen[0]:
+                        for vertex, row in pairs:
+                            if not left & row:  # the first child to hit
+                                below = pairs.index((vertex, row)) + 1
+                                if nodes + below <= limit:
+                                    # a hit: the frame goes on at room 0
+                                    best, best_size, hit, room = \
+                                        chosen | bit | vertex, size + 1, \
+                                        nodes + below, 0
+                                break
+                        else:
+                            if below * 64 > top:
+                                seen[0][left] = below
+                else:
+                    below = seen[room - 1].get(left)
+                    if below is None:  # expanded in this frame's place
+                        stack.append((children, chosen, size, unsatisfied,
+                                      start))
+                        children, chosen, size, unsatisfied, start = \
+                            iter(branch[top] or branch_of(top)), \
+                            chosen | bit, size + 1, left, nodes
+                        break
+                nodes += below
+                if nodes > limit:
+                    return MinCodeResult(best, best_size, optimal=False,
+                                         nodes=limit + 1)
+            else:  # out of children: kept if no hit came since it was pushed
+                # and it cost more nodes than its key has 64-bit words
+                if hit < start and \
+                        (nodes - start) * 64 > unsatisfied.bit_length():
+                    seen[room][unsatisfied] = nodes - start
+                break
     return MinCodeResult(best, best_size, optimal=True, nodes=nodes)
 
 

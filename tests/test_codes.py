@@ -1175,16 +1175,23 @@ class TestSearchAgainstReference:
                 assert (r.code, r.size, r.optimal, r.nodes) == result[:4]
 
     @pytest.mark.parametrize("d,n,t,spread", [
-        (2, 5, 1, 40), (3, 3, 1, 40), (2, 5, 2, 40), (4, 2, 1, None)])
+        (2, 5, 1, 40), (3, 3, 1, 40), (2, 5, 2, 40), (4, 2, 1, None),
+        (3, 3, 2, None), (2, 4, 1, None), (5, 2, 1, range(1180, 1221))])
     def test_budget_sweep(self, d, n, t, spread):
         """The search counts a subtree it has finished before rather than
-        searching it again, so a budget can run out inside a counted
-        subtree: about 40 budgets spread over the whole search, or every
-        budget on B(4,2) t=1, stop on the reference's node."""
+        searching it again, and settles a room-0 frame in one pass over its
+        branch list, so a budget can run out inside a counted subtree or a
+        settled frame: about 40 budgets spread over the whole search, every
+        budget on B(4,2) t=1, B(3,3) t=2 and B(2,4) t=1, or a range of
+        budgets, stop on the reference's node.  B(5,2) t=1 finds a smaller
+        code at node 1,199, the first child to hit of a room-0 frame settled
+        inside a room-1 frame, whose next child, node 1,200, then runs at
+        room 0; B(2,4) t=1 does the same at nodes 24 and 106."""
         g = DeBruijnGraph(d, n)
         targets = build_constraints(g, t)
         nodes = reference_search(targets, g.vertex_count)[0][3]
         budgets = (range(nodes + 1) if spread is None else
+                   spread if isinstance(spread, range) else
                    [nodes * k // spread + k for k in range(spread)]
                    + [nodes - 1, nodes])
         want = reference_search(targets, g.vertex_count, budgets)
@@ -1279,6 +1286,14 @@ class TestMemoryBound:
         words; on B(2,5) t=1 (119,846 nodes) that peaked at 1.36 MiB
         here, against 0.04 MiB with no subtree kept."""
         assert peak_bytes(min_code, DeBruijnGraph(2, 5), 1) < 2 * 2 ** 20
+
+    def test_min_code_default_budget_peak(self):
+        """Each branch list holds its vertices' index rows once, in the
+        (vertex bit, row) pairs that settled frames read too.  The
+        default-budget search of B(2,8) t=1 peaked at 1,111,220 bytes here
+        before room-0 frames were settled; the bound allows 10% above it."""
+        assert peak_bytes(min_code, DeBruijnGraph(2, 8), 1) \
+            < 1_111_220 * 11 // 10
 
     def test_min_code_forms_targets_on_demand(self):
         """The search keeps the ball table and the pair of each target, and
