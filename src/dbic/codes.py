@@ -45,18 +45,20 @@ free by their own centers.  The pairs come from the ball rows grown t more
 rounds, row x of which is B_2t(x), each row dropped once its y > x are read.
 Both searches read one per-vertex cover index, grown by `_column_stripes`
 from the pair (x, y) that first gave each target, as v lies in B_t(x) iff x
-lies in B_t(v).  `min_code` works on bitsets over the targets sorted by
-size, the smallest at the top bit, each formed from its pair's balls only
-for its clash mask or branch list: a child is one AND, and the packing bound
-jumps by clash masks up to the incumbent's gap, its first step one test per
-child.  The frame being walked lives in the loop's variables: to expand a
-child it goes on the stack, and the child's frame is walked in its place.
-A frame with room 0, whose children beat the incumbent only by meeting every
-target, is never walked: each of its children hits or is pruned, so its
-parent settles it in one pass over its branch list, to the first hit.  A
-frame's subtree is a function of its unsatisfied targets and its room to the
-gap while it holds no hit, as the same set chosen in another order leaves
-the same targets; so the node count of each such subtree is kept, and a
+lies in B_t(v); targets that fit one stripe take the XOR of its two grown
+row lists.  Greedy keys its heap on ints (C - score) << w | v.  `min_code`
+works on bitsets over the targets sorted by the sizes read off the
+deduplication's keys, the smallest at the top bit, each formed from its
+pair's balls only for its clash mask or branch list: a child is one AND, and
+the packing bound jumps by clash masks up to the incumbent's gap, its first
+step one test per child.  The frame being walked lives in the loop's
+variables: to expand a child it goes on the stack, and the child's frame is
+walked in its place.  A frame with room 0, whose children beat the incumbent
+only by meeting every target, is never walked: each of its children hits or is
+pruned, so its parent settles it in one pass over its branch list, to the first
+hit.  A frame's subtree is a function of its unsatisfied targets and its room
+to the gap while it holds no hit, as the same set chosen in another order
+leaves the same targets; so the node count of each such subtree is kept, and a
 child that would repeat one adds the count instead of being expanded.
 """
 
@@ -70,7 +72,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice, repeat
-from operator import and_, xor
+from operator import and_, itemgetter, xor
 from typing import Iterator, Sequence
 
 from .balls import all_balls
@@ -369,14 +371,16 @@ def build_constraints(g: DeBruijnGraph, t: int) -> list[VertexSet]:
     disjoint balls, so any dominating set separates them already), x
     ascending, then y.  A target equal to an earlier one is dropped.
     """
-    balls, first, second = _constraints(g, t)
+    balls, first, second, _ = _constraints(g, t)
     return [balls[x] ^ balls[y] for x, y in zip(first, second)]
 
 
-def _constraints(g: DeBruijnGraph, t: int) -> tuple[list, array, array]:
-    """The balls, with an empty one at N, and the pair that first gave each
-    target: target i is balls[first[i]] ^ balls[second[i]].  The pairs
-    within 2t are read off a copy of the ball rows grown t more rounds."""
+def _constraints(g: DeBruijnGraph, t: int
+                 ) -> tuple[list, array, array, list[int]]:
+    """The balls, with an empty one at N, the pair that first gave each
+    target, and the sizes, read off the deduplication's keys in target order:
+    target i is balls[first[i]] ^ balls[second[i]].  The pairs within 2t are
+    read off a copy of the ball rows grown t more rounds."""
     _check_t(t)
     labels = _twin_labels(g, t)
     twins, total = ([], 0) if labels is None else _first_pairs(labels)
@@ -409,7 +413,7 @@ def _constraints(g: DeBruijnGraph, t: int) -> tuple[list, array, array]:
         if len(targets) > len(first):  # a new target
             first.append(x)
             second.append(y)
-    return balls, first, second
+    return balls, first, second, list(map(int.bit_count, targets))
 
 
 def _cover(g: DeBruijnGraph, t: int, first: array, second: array
@@ -417,10 +421,13 @@ def _cover(g: DeBruijnGraph, t: int, first: array, second: array
     """Per-vertex index: bit i of `cover[v]` is set iff target i holds v.
     As v lies in B_t(x) iff x lies in B_t(v), and target i is B_t(first[i])
     ^ B_t(second[i]), it is the XOR of the column stripes started from
-    `first` and from `second`."""
+    `first` and from `second`: with one stripe, the XOR of its rows."""
     count, step = g.vertex_count, COVER_STRIPE_BITS
-    cover = [bytearray() for _ in range(count)]
     seconds = _column_stripes(g, t, second, step)
+    if len(first) <= step:
+        return list(map(xor, next(_column_stripes(g, t, first, step)),
+                        next(seconds)))
+    cover = [bytearray() for _ in range(count)]
     for grown in _column_stripes(g, t, first, step):
         for row, a, b in zip(cover, grown, next(seconds)):
             row += (a ^ b).to_bytes(step // 8, "little")
@@ -432,25 +439,29 @@ def _cover(g: DeBruijnGraph, t: int, first: array, second: array
 
 def _greedy(cover: list[int], target_count: int) -> VertexSet:
     """Repeatedly take the vertex hitting the most unhit targets, the
-    smallest id among ties.  Heap keys (-score, v) start below every score;
-    as scores only fall, the top is rescored until a fresh key wins."""
-    heap = [(-target_count, v) for v in range(len(cover))]
+    smallest id among ties.  Heap keys (C - score) << w | v, w the bit length
+    of N, start below every score; as scores only fall, the top is rescored
+    until a fresh key wins."""
+    w = len(cover).bit_length()
+    low = (1 << w) - 1
+    heap = list(range(len(cover)))  # score C each: keys 0 << w | v, a heap
     unsatisfied = (1 << target_count) - 1
     chosen = 0
     while unsatisfied:
-        key, v = heap[0]
-        fresh = -(cover[v] & unsatisfied).bit_count()
+        key = heap[0]
+        v = key & low
+        fresh = (target_count - (cover[v] & unsatisfied).bit_count()) << w | v
         if fresh != key:
-            heapq.heapreplace(heap, (fresh, v))
+            heapq.heapreplace(heap, fresh)
         else:
             chosen |= 1 << v
-            unsatisfied &= ~cover[v]
+            unsatisfied ^= unsatisfied & cover[v]
     return chosen
 
 
 def greedy_code(g: DeBruijnGraph, t: int) -> VertexSet:
     """Greedy valid code: most unhit constraints first, smallest id on ties."""
-    first, second = _constraints(g, t)[1:]  # the N^2-bit balls go now
+    first, second = _constraints(g, t)[1:3]  # the N^2-bit balls go now
     return _greedy(_cover(g, t, first, second), len(first))
 
 
@@ -458,7 +469,8 @@ def min_code(g: DeBruijnGraph, t: int,
              node_budget: int | None = None) -> MinCodeResult:
     """Smallest code by branch and bound over the hitting-set constraints.
 
-    Targets are sorted by size once, stably, the first at the top bit of a
+    Targets are sorted once by `_constraints`' sizes, descending, ties by
+    descending index, through one `itemgetter`, the first at the top bit of a
     node's int of unsatisfied targets; greedy seeds the incumbent.  The bound
     packs disjoint targets, first first, dropping those that meet each one
     through its clash mask, and stops at the gap to the incumbent.  Nodes
@@ -475,13 +487,12 @@ def min_code(g: DeBruijnGraph, t: int,
     """
     if node_budget is not None and node_budget < 0:
         raise InvalidParameters("node budget must be >= 0", budget=node_budget)
-    balls, *pairs = _constraints(g, t)
-    sizes = list(map(int.bit_count, map(xor, *[map(balls.__getitem__, side)
-                                              for side in pairs])))
-    order = sorted(range(len(sizes)), key=sizes.__getitem__)[::-1]
-    first, second = [array("I", map(side.__getitem__, order))
-                     for side in pairs]
-    del sizes, order, pairs
+    balls, *pairs, sizes = _constraints(g, t)
+    # descending size, ties by descending index; C >= N >= 2, so a tuple
+    pick = itemgetter(*sorted(range(len(sizes) - 1, -1, -1),
+                              key=sizes.__getitem__, reverse=True))
+    first, second = [array("I", pick(side)) for side in pairs]
+    del sizes, pick, pairs
     if node_budget is None and g.vertex_count > DEFAULT_EXACT_CAP:
         node_budget = DEFAULT_NODE_BUDGET
     keep = _cover(g, t, first, second)

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import heapq
 import json
 import os
 import random
@@ -850,8 +851,16 @@ class TestBuildConstraints:
             if target not in seen:
                 seen.add(target)
                 want.append((x, y))
-        first, second = codes._constraints(DeBruijnGraph(d, n), t)[1:]
+        first, second = codes._constraints(DeBruijnGraph(d, n), t)[1:3]
         assert list(zip(first, second)) == want
+
+    @pytest.mark.parametrize("d,n,t", PAIR_CELLS)
+    def test_sizes_are_target_popcounts(self, d, n, t):
+        """The sizes are read off the deduplication's keys, in target order:
+        B(4,2) t=1 drops 36 of the targets of its 136 pairs."""
+        g = DeBruijnGraph(d, n)
+        assert codes._constraints(g, t)[3] \
+            == list(map(popcount, build_constraints(g, t)))
 
     @pytest.mark.parametrize("d,n,t", [(3, 4, 2), (2, 8, 1)])
     def test_pairs_need_no_traversal_per_vertex(self, d, n, t, monkeypatch):
@@ -945,7 +954,7 @@ class TestCoverIndex:
         g = DeBruijnGraph(d, n)
         targets = build_constraints(g, t)
         # checked before any search runs: greedy need not stop on a bad index
-        assert_cover(codes._cover(g, t, *codes._constraints(g, t)[1:]),
+        assert_cover(codes._cover(g, t, *codes._constraints(g, t)[1:3]),
                      targets, g.vertex_count)
         by_build, by_size = self.built_covers(monkeypatch, g, t)
         assert_cover(by_build, targets, g.vertex_count)
@@ -964,7 +973,7 @@ class TestCoverIndex:
             widths.append(max(rows).bit_length())
             return grow(self, rows, radius)
 
-        first, second = codes._constraints(g, t)[1:]
+        first, second = codes._constraints(g, t)[1:3]
         monkeypatch.setattr(DeBruijnGraph, "grow_rows", spy)
         assert_cover(codes._cover(g, t, first, second), targets,
                      g.vertex_count)
@@ -972,6 +981,50 @@ class TestCoverIndex:
         by_build, by_size = self.built_covers(monkeypatch, g, t)
         assert_cover(by_build, targets, g.vertex_count)
         assert_cover(by_size, search_order(targets), g.vertex_count)
+
+    def test_one_stripe_equals_stripes(self, monkeypatch):
+        """The 378 targets of B(3,3) t=2 fit one stripe by default and at
+        384 bits, where the index is the XOR of the grown rows, and take
+        several at 128 and 376 bits, where it is built from bytes."""
+        g, t = DeBruijnGraph(3, 3), 2
+        first, second = codes._constraints(g, t)[1:3]
+        covers = [codes._cover(g, t, first, second)]
+        for step in (384, 128, 376):
+            monkeypatch.setattr(codes, "COVER_STRIPE_BITS", step)
+            covers.append(codes._cover(g, t, first, second))
+        assert covers[1:] == covers[:1] * 3
+
+
+def tuple_heap_greedy(cover, target_count):
+    """Greedy on a lazy heap of (-score, v) tuples, the smallest id among
+    ties: the reference for `_greedy`'s packed-int keys."""
+    heap = [(-target_count, v) for v in range(len(cover))]
+    unsatisfied = (1 << target_count) - 1
+    chosen = 0
+    while unsatisfied:
+        key, v = heap[0]
+        fresh = -(cover[v] & unsatisfied).bit_count()
+        if fresh != key:
+            heapq.heapreplace(heap, (fresh, v))
+        else:
+            chosen |= 1 << v
+            unsatisfied &= ~cover[v]
+    return chosen
+
+
+class TestGreedyHeap:
+    """`_greedy`'s heap of ints (C - score) << w | v picks as the tuple
+    heap does, on indices in build and in size order; B(2,8) and B(2,10)
+    have N = 2^k vertices, so the id field takes k + 1 bits."""
+
+    @pytest.mark.parametrize("d,n,t", PAIR_CELLS + [(2, 8, 1), (2, 10, 1)])
+    def test_matches_tuple_heap(self, d, n, t):
+        g = DeBruijnGraph(d, n)
+        targets = build_constraints(g, t)
+        for order in (targets, search_order(targets)):
+            cover = reference_cover(order, g.vertex_count)
+            assert codes._greedy(cover, len(order)) \
+                == tuple_heap_greedy(cover, len(order))
 
 
 class TestGreedyCode:
