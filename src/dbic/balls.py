@@ -206,7 +206,10 @@ def _outside(d: int, n: int, t: int, v: int) -> int | None:
             failed[i].add(live)
         return None
 
-    return walk(0, full, 0, True)
+    try:
+        return walk(0, full, 0, True)
+    finally:
+        del walk  # it refers to itself: a reference cycle per call
 
 
 def ball_bfs(g: DeBruijnGraph, x: int, t: int) -> VertexSet:

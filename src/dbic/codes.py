@@ -521,9 +521,10 @@ def min_code(g: DeBruijnGraph, t: int,
         branch[i] = [(1 << v, keep[v]) for v in members(i - 1)]
         return branch[i]
 
-    # seen[room][targets]: the nodes below a frame that ran out of children
-    # with no hit below it, so with best_size, and its room, as made
-    seen: list = [{} for _ in range(best_size)]
+    # seen[room - 1][targets]: the nodes below a frame that ran out of
+    # children with no hit below it, so with best_size, and its room, as
+    # made (never 0: such a frame is settled by its parent or had a hit)
+    seen: list = [{} for _ in range(best_size - 1)]
     limit = sys.maxsize if node_budget is None else node_budget
     nodes = hit = 0  # hit: the node count at the last hit
     stack = [(iter([(0, everything)]), 0, 0, everything, 0)]
@@ -557,21 +558,17 @@ def min_code(g: DeBruijnGraph, t: int,
                     # children hits or is pruned
                     pairs = branch[top] or branch_of(top)
                     below = len(pairs)
-                    if below * 64 <= top or left not in seen[0]:
-                        for vertex, row in pairs:
-                            if not left & row:  # the first child to hit
-                                below = pairs.index((vertex, row)) + 1
-                                if nodes + below <= limit:
-                                    # a hit: the frame goes on at room 0
-                                    best, best_size, hit, room = \
-                                        chosen | bit | vertex, size + 1, \
-                                        nodes + below, 0
-                                break
-                        else:
-                            if below * 64 > top:
-                                seen[0][left] = below
+                    for vertex, row in pairs:
+                        if not left & row:  # the first child to hit
+                            below = pairs.index((vertex, row)) + 1
+                            if nodes + below <= limit:
+                                # a hit: the frame goes on at room 0
+                                best, best_size, hit, room = \
+                                    chosen | bit | vertex, size + 1, \
+                                    nodes + below, 0
+                            break
                 else:
-                    below = seen[room - 1].get(left)
+                    below = seen[room - 2].get(left)
                     if below is None:  # expanded in this frame's place
                         stack.append((children, chosen, size, unsatisfied,
                                       start))
@@ -587,7 +584,7 @@ def min_code(g: DeBruijnGraph, t: int,
                 # and it cost more nodes than its key has 64-bit words
                 if hit < start and \
                         (nodes - start) * 64 > unsatisfied.bit_length():
-                    seen[room][unsatisfied] = nodes - start
+                    seen[room - 1][unsatisfied] = nodes - start
                 break
     return MinCodeResult(best, best_size, optimal=True, nodes=nodes)
 

@@ -10,10 +10,10 @@ they are reported via has_loop() and drawn by the DOT export.
 
 The package has two traversal kernels, the second in two forms.
 `DeBruijnGraph.bfs_layers` is a layered breadth-first frontier from one
-source, which single balls, distance arrays, the radius's cut traversals
-and the exact confirmation of hashed twin labels run on.  It stops at depth n, the
-diameter; short of that it holds the set of ids it reached, so a radius-t
-query costs O(|B_t(x)|), not O(d^n).  `DeBruijnGraph.grow_rows` grows the
+source, which single balls, distance arrays and the exact confirmation of
+hashed twin labels run on.  It stops at depth n, the diameter; short of
+that it holds the set of ids it reached, so a radius-t query costs
+O(|B_t(x)|), not O(d^n).  `DeBruijnGraph.grow_rows` grows the
 balls of all sources at once, one radius per round, as one int per vertex:
 the OR of per-vertex start rows over each ball.  Started from each vertex's
 own column it gives the whole-graph ball table (`balls.all_balls`), which

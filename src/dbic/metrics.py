@@ -14,9 +14,10 @@ overlapping in n-1 symbols, so they map B(d, n) onto itself and keep every
 eccentricity.
 For d >= 3 the paper's antipodal vertex (`construct_antipodal`), checked
 against the closed-form ball (`balls._ball_contains`), certifies that a
-vertex cannot lower the radius, so no traversal runs; a vertex whose
-certificate fails, and every vertex of B(2, n), where the farthest vertices
-follow no known rule, gets a traversal cut off at the running radius.
+vertex cannot lower the radius; a vertex whose certificate fails, and every
+vertex of B(2, n), where the farthest vertices follow no known rule, is
+walked just below the running radius.  So the radius, like one
+eccentricity, runs no traversal and holds nothing of the graph's size.
 `distance` still runs its own frontier loop, stopping at the first sight
 of its target.
 """
@@ -122,14 +123,13 @@ def radius_diameter(g: DeBruijnGraph) -> tuple[int, int]:
 
     The radius r starts at n, and each orbit representative v
     (`orbit_representatives`; an automorphism keeps distances) either
-    shows ecc(v) >= r by a certificate or gets one traversal cut off at
-    depth r-1.  For d >= 3 the certificate is w = `construct_antipodal(v)`:
-    if the closed form puts w outside B_{r-1}(v), then dist(v, w) >= r and
-    v cannot lower r.  A traversal that reaches every vertex makes the
-    depth of its last layer the new r; one that does not cannot lower r.
-    For d = 2 no vertex need lie n away (B(2, n) has had radius n-1 at
-    every n checked), and no rule for a far vertex is known yet, so every
-    representative is traversed."""
+    shows ecc(v) >= r by a certificate or is walked: while no word lies
+    outside B_{r-1}(v) (`balls._outside`), ecc(v) <= r-1 and r drops by
+    one.  For d >= 3 the certificate is w = `construct_antipodal(v)`: if
+    the closed form puts w outside B_{r-1}(v), then dist(v, w) >= r and v
+    cannot lower r; it is cheaper than a walk.  For d = 2 no vertex need
+    lie n away (B(2, n) has had radius n-1 at every n checked), and no rule
+    for a far vertex is known yet, so every representative is walked."""
     d, n = g.d, g.n
     radius = n
     for v in orbit_representatives(d, n):
@@ -137,11 +137,8 @@ def radius_diameter(g: DeBruijnGraph) -> tuple[int, int]:
             far = encode(construct_antipodal(decode(v, d, n)))
             if not _ball_contains(d, n, radius - 1, v, far):
                 continue
-        reached = 0
-        for depth, layer in enumerate(g.bfs_layers(v, radius - 1)):
-            reached += len(layer)
-        if reached == g.vertex_count:
-            radius = depth
+        while _outside(d, n, radius - 1, v) is None:
+            radius -= 1
     return radius, n
 
 

@@ -272,7 +272,7 @@ class TestClosedForm:
 
 class TestOutside:
     @pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 33)
-                                     for n in range(1, 9) if d ** n <= 256])
+                                     for n in range(1, 11) if d ** n <= 1024])
     def test_equals_bfs(self, d, n):
         """On every vertex at every radius 0..n, the walk gives the least
         id farther than t by BFS, or None when there is none."""

@@ -307,15 +307,14 @@ class TestEccCommand:
             calls.append((v, radius)) or layers(g, v, radius))
         return calls
 
-    def test_summary_runs_one_traversal_per_orbit(self, capsys, monkeypatch):
+    def test_summary_runs_no_traversal(self, capsys, monkeypatch):
         """d = 2 has no far-vertex certificate, so each representative is
-        traversed once, cut off short of the diameter."""
+        settled by its walks, with no traversal."""
         calls = self.spy_traversals(monkeypatch)
         code, payload = run_json(capsys, "ecc", "2", "6")
         assert code == 0
         assert (payload["radius"], payload["diameter"]) == (5, 6)
-        assert [v for v, _ in calls] == list(metrics.orbit_representatives(2, 6))
-        assert all(radius < 6 for _, radius in calls)
+        assert calls == []
 
     def test_ternary_summary_runs_no_traversal(self, capsys, monkeypatch):
         """d >= 3: the antipodal vertex certifies every representative."""
@@ -328,9 +327,11 @@ class TestEccCommand:
 
 class TestParserReuse:
     def test_repeated_calls_leave_no_cyclic_garbage(self):
-        """`main` reuses one parser, so ten calls on two commands leave
-        nothing for the cycle collector, and print what the first did."""
-        argvs = [["check", "3", "4", "2"], ["ecc", "2", "3"]]
+        """`main` reuses one parser, and a walk drops its own closure, so
+        twelve calls on three commands leave nothing for the cycle
+        collector, and print what the first did."""
+        argvs = [["check", "3", "4", "2"], ["ecc", "2", "3"],
+                 ["ecc", "2", "8", "--vertex", "00000001"]]
 
         def call(argv):
             out = io.StringIO()
@@ -342,11 +343,11 @@ class TestParserReuse:
         gc.disable()
         try:
             gc.collect()
-            again = [call(argvs[i % 2]) for i in range(10)]
+            again = [call(argvs[i % 3]) for i in range(12)]
             assert gc.collect() == 0
         finally:
             gc.enable()
-        assert again == first * 5
+        assert again == first * 4
 
 
 class TestSweepCommand:

@@ -227,8 +227,9 @@ class TestOrbitRepresentatives:
 class TestRadiusDiameterByOrbit:
     @pytest.mark.parametrize("d,n", graphs_up_to(1024, max_d=16))
     def test_matches_every_vertex(self, d, n):
+        """Against each vertex's BFS, not the walk that the radius runs."""
         g = DeBruijnGraph(d, n)
-        eccs = [rep.eccentricity for rep in eccentricity_table(g)]
+        eccs = [max(bfs_distances(g, v)) for v in range(g.vertex_count)]
         assert radius_diameter(g) == (min(eccs), max(eccs))
 
     @pytest.mark.parametrize("d,n", [(d, n) for d, n in
@@ -243,18 +244,6 @@ class TestRadiusDiameterByOrbit:
             far = encode(construct_antipodal(decode(v, d, n)))
             assert distance(g, v, far) == n
 
-    def test_one_traversal_per_orbit(self, monkeypatch):
-        """One traversal per representative, in order, each cut off short
-        of the diameter."""
-        calls = []
-        layers = DeBruijnGraph.bfs_layers
-        monkeypatch.setattr(
-            DeBruijnGraph, "bfs_layers", lambda g, v, radius=None:
-            calls.append((v, radius)) or layers(g, v, radius))
-        assert radius_diameter(DeBruijnGraph(2, 8)) == (7, 8)
-        assert [v for v, _ in calls] == list(orbit_representatives(2, 8))
-        assert all(radius < 8 for _, radius in calls)
-
     def spy_traversals(self, monkeypatch):
         calls = []
         layers = DeBruijnGraph.bfs_layers
@@ -262,6 +251,24 @@ class TestRadiusDiameterByOrbit:
             DeBruijnGraph, "bfs_layers", lambda g, v, radius=None:
             calls.append((v, radius)) or layers(g, v, radius))
         return calls
+
+    def spy_walks(self, monkeypatch):
+        calls = []
+        walk = metrics._outside
+        monkeypatch.setattr(metrics, "_outside", lambda d, n, t, v:
+                            calls.append((v, t)) or walk(d, n, t, v))
+        return calls
+
+    def test_binary_walks_every_orbit_with_no_traversal(self, monkeypatch):
+        """d = 2 has no far-vertex certificate: each representative, in
+        order, is walked short of the diameter, and nothing traverses."""
+        calls = self.spy_traversals(monkeypatch)
+        walks = self.spy_walks(monkeypatch)
+        assert radius_diameter(DeBruijnGraph(2, 8)) == (7, 8)
+        assert calls == []
+        assert list(dict.fromkeys(v for v, _ in walks)) == \
+            list(orbit_representatives(2, 8))
+        assert all(t < 8 for _, t in walks)
 
     @pytest.mark.parametrize("d,n", [(3, 4), (3, 5), (3, 6), (3, 7), (4, 4)])
     def test_antipodal_certificate_skips_every_traversal(self, d, n,
@@ -275,16 +282,18 @@ class TestRadiusDiameterByOrbit:
     def test_failed_certificate_falls_back_to_traversal(self, d, n,
                                                         monkeypatch):
         """A witness inside the ball certifies nothing, so the answer
-        comes from the cut traversals alone."""
+        comes from the walks alone."""
         monkeypatch.setattr(metrics, "construct_antipodal", lambda y: y)
         assert radius_diameter(DeBruijnGraph(d, n)) == (n, n)
 
-    def test_failed_certificate_runs_one_traversal_per_orbit(self,
-                                                             monkeypatch):
+    def test_failed_certificate_walks_each_orbit_with_no_traversal(
+            self, monkeypatch):
         monkeypatch.setattr(metrics, "construct_antipodal", lambda y: y)
         calls = self.spy_traversals(monkeypatch)
+        walks = self.spy_walks(monkeypatch)
         assert radius_diameter(DeBruijnGraph(3, 4)) == (4, 4)
-        assert calls == [(v, 3) for v in orbit_representatives(3, 4)]
+        assert calls == []
+        assert walks == [(v, 3) for v in orbit_representatives(3, 4)]
 
 
 def reference_antipodal(y):
