@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import chain
 from operator import or_
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import InvalidParameters, NotApplicable
 from .graph import DeBruijnGraph
@@ -162,20 +162,19 @@ def _ball_contains(d: int, n: int, t: int, v: int, w: int) -> bool:
                          for _, (divisor, modulus, run, _) in _shapes(d, n, t))
 
 
-def _outside(d: int, n: int, t: int, v: int) -> int | None:
-    """The least id w != v outside B_t(v) on B(d, n), or None, with no
-    graph: a walk that sets w's symbols most significant first, each in
-    ascending order.  Its state is a bitmask of the cached shapes that the
-    symbols so far still match; a symbol at position i keeps the shapes
+def _outside(d: int, n: int, t: int, x: Sequence[int]) -> int | None:
+    """The least id w outside B_t(x) on B(d, n), x given as digits, or None,
+    with no graph: a walk that sets w's symbols most significant first, each
+    in ascending order.  Its state is a bitmask of the cached shapes that
+    the symbols so far still match; a symbol at position i keeps the shapes
     that leave i free or fix it to that symbol.  A symbol that leaves some
     shape of the state with no fixed position after it is skipped, since
     every word below it lies in that pattern, so the first leaf reached is
-    the answer.  A (position, state) that fails fails wherever it recurs,
-    but along v's own prefix, where v is no answer, it is not recorded."""
+    the answer.  A failed (position, state) fails wherever it recurs, so it
+    is recorded, except along x's own prefix, where x is no answer."""
     if t >= n:
         return None  # the diameter is n
     shapes = _shapes(d, n, t)
-    x = decode(v, d, n).digits
     fixes = [[0] * d for _ in range(n)]  # [i][s]: shapes fixing i to s
     done = [0] * (n + 1)  # [i]: shapes that fix no position from i on
     for j, ((a, start, end, b), _) in enumerate(shapes):

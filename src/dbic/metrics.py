@@ -16,8 +16,10 @@ For d >= 3 the paper's antipodal vertex (`construct_antipodal`), checked
 against the closed-form ball (`balls._ball_contains`), certifies that a
 vertex cannot lower the radius; a vertex whose certificate fails, and every
 vertex of B(2, n), where the farthest vertices follow no known rule, is
-walked just below the running radius.  So the radius, like one
-eccentricity, runs no traversal and holds nothing of the graph's size.
+walked just below the running radius.  Both read the representative's
+digits from the list the orbit generator grows; nothing is decoded or
+validated per representative.  So the radius, like one eccentricity, runs
+no traversal and holds nothing of the graph's size.
 `distance` still runs its own frontier loop, stopping at the first sight
 of its target.
 """
@@ -25,12 +27,12 @@ of its target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .balls import _ball_contains, _outside
 from .errors import InvalidParameters
 from .graph import DeBruijnGraph
-from .strings import DBString, decode, encode
+from .strings import DBString, decode
 
 
 @dataclass(frozen=True)
@@ -78,8 +80,9 @@ def eccentricity(g: DeBruijnGraph, y: int) -> EccentricityReport:
     B_t(y) leaves a word out (`balls._outside`) gives ecc(y) = t+1, and
     the least word outside is the witness.  The graph only checks y."""
     g._check_vertex(y)
+    x = decode(y, g.d, g.n).digits
     for t in range(g.n - 1, -1, -1):
-        far = _outside(g.d, g.n, t, y)
+        far = _outside(g.d, g.n, t, x)
         if far is not None:
             return EccentricityReport(vertex=y, eccentricity=t + 1,
                                       witness=far)
@@ -95,17 +98,18 @@ def orbit_representatives(d: int, n: int) -> Iterator[int]:
     numbered 0, 1, 2, ... as they first appear; one word per permutation
     orbit) that are no greater than the first-appearance form of their
     reversal.  Words grow one symbol at a time, so only one is held."""
-    return _representatives_from([], d, n, 0, 0)
+    return (value for value, _ in _representatives_from([], d, n, 0, 0))
 
 
 def _representatives_from(word: list[int], d: int, n: int, value: int,
-                          fresh: int) -> Iterator[int]:
-    # `word` (id `value`, symbols 0 .. fresh-1) grows in place; a nested
-    # generator calling itself would leave a reference cycle per call.
+                          fresh: int) -> Iterator[tuple[int, list[int]]]:
+    # `word` (id `value`, symbols 0 .. fresh-1) grows in place and is
+    # yielded live, valid until the next step; a nested generator calling
+    # itself would leave a reference cycle per call.
     if len(word) == n:
         names: dict[int, int] = {}
         if word <= [names.setdefault(a, len(names)) for a in reversed(word)]:
-            yield value
+            yield value, word
         return
     for a in range(min(fresh + 1, d)):
         word.append(a)
@@ -125,19 +129,20 @@ def radius_diameter(g: DeBruijnGraph) -> tuple[int, int]:
     (`orbit_representatives`; an automorphism keeps distances) either
     shows ecc(v) >= r by a certificate or is walked: while no word lies
     outside B_{r-1}(v) (`balls._outside`), ecc(v) <= r-1 and r drops by
-    one.  For d >= 3 the certificate is w = `construct_antipodal(v)`: if
-    the closed form puts w outside B_{r-1}(v), then dist(v, w) >= r and v
-    cannot lower r; it is cheaper than a walk.  For d = 2 no vertex need
-    lie n away (B(2, n) has had radius n-1 at every n checked), and no rule
-    for a far vertex is known yet, so every representative is walked."""
+    one.  For d >= 3 the certificate is w = `construct_antipodal(v)`, its
+    id built straight from v's digits (`_antipodal_id`): if the closed
+    form puts w outside B_{r-1}(v), then dist(v, w) >= r and v cannot
+    lower r; it is cheaper than a walk.  Both take v's digits as the
+    orbit generator yields them.  For d = 2 no vertex need lie n away
+    (B(2, n) has had radius n-1 at every n checked), and no rule for a far
+    vertex is known yet, so every representative is walked."""
     d, n = g.d, g.n
     radius = n
-    for v in orbit_representatives(d, n):
-        if d >= 3:
-            far = encode(construct_antipodal(decode(v, d, n)))
-            if not _ball_contains(d, n, radius - 1, v, far):
-                continue
-        while _outside(d, n, radius - 1, v) is None:
+    for v, word in _representatives_from([], d, n, 0, 0):
+        if d >= 3 and not _ball_contains(d, n, radius - 1, v,
+                                         _antipodal_id(d, word)):
+            continue
+        while _outside(d, n, radius - 1, word) is None:
             radius -= 1
     return radius, n
 
@@ -162,22 +167,27 @@ def construct_antipodal(y: DBString) -> DBString:
         )
     if y.n == 0:
         raise InvalidParameters("vertex must be nonempty", d=y.d, n=0)
-    return DBString(y.d, _antipodal_digits(y.d, y.digits))
+    return decode(_antipodal_id(y.d, y.digits), y.d, y.n)
 
 
-def _antipodal_digits(d: int, digs: tuple[int, ...]) -> tuple[int, ...]:
-    """`construct_antipodal` on digit tuples, validated once by its caller."""
-    n = len(digs)
-    if n == 1:
-        return (min(a for a in range(d) if a != digs[0]),)
-    if n == 2:
-        z = min(a for a in range(d) if a not in digs)
-        return (z, z)
-    if n == 3:
-        unused = [a for a in range(d) if a not in digs]
-        a = min(unused) if unused else digs[1]
-        return (a, a, a)
-    # Two exclusions against d >= 3 symbols always leave a choice.
-    head = min(a for a in range(d) if a not in (digs[-2], digs[-1]))
-    tail = min(a for a in range(d) if a not in (digs[0], digs[1]))
-    return (head,) + _antipodal_digits(d, digs[1:-1]) + (tail,)
+def _antipodal_id(d: int, word: Sequence[int]) -> int:
+    """The id of `construct_antipodal` of the digits `word`, d >= 3, in one
+    pass from both ends: each level of the recursion sets one symbol at
+    each end, and the ids of the head and of the tail are folded as they
+    grow, around the 1-, 2- or 3-symbol core of a repeated symbol."""
+    n = len(word)
+    levels = max(0, n // 2 - 1)
+    head, tail, unit = 0, 0, 1  # unit is d ** k at level k
+    for k in range(levels):
+        # The least symbol other than x and y; with d >= 3 there is one.
+        x, y = word[n - k - 2], word[n - k - 1]
+        head = head * d + (0 if x and y else 2 if x + y == 1 else 1)
+        x, y = word[k], word[k + 1]
+        tail += (0 if x and y else 2 if x + y == 1 else 1) * unit
+        unit *= d
+    core = word[levels:n - levels]
+    m = len(core)
+    # Some symbol is unused unless the core is a 3-word using all of d = 3,
+    # whose middle symbol then repeats.
+    a = next((a for a in range(d) if a not in core), core[m // 2])
+    return (head * d ** m + a * (d ** m - 1) // (d - 1)) * unit + tail

@@ -270,21 +270,37 @@ class TestClosedForm:
         assert bool((ball >> w) & 1) == bool((ball_bfs(g, w, t) >> v) & 1)
 
 
+def walk_against_bfs(d, n, vertices):
+    """Each (v, t), t = 0..n, where the walk is not the least id farther
+    than t by BFS, or None when there is none."""
+    g = DeBruijnGraph(d, n)
+    wrong = []
+    for v in vertices:
+        dist = bfs_distances(g, v)
+        x = decode(v, d, n).digits
+        for t in range(n + 1):
+            far = next((w for w, k in enumerate(dist) if k > t), None)
+            if _outside(d, n, t, x) != far:
+                wrong.append((v, t))
+    return wrong
+
+
 class TestOutside:
     @pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 33)
                                      for n in range(1, 11) if d ** n <= 1024])
     def test_equals_bfs(self, d, n):
         """On every vertex at every radius 0..n, the walk gives the least
         id farther than t by BFS, or None when there is none."""
-        g = DeBruijnGraph(d, n)
-        wrong = []
-        for v in range(g.vertex_count):
-            dist = bfs_distances(g, v)
-            for t in range(n + 1):
-                far = next((w for w, k in enumerate(dist) if k > t), None)
-                if _outside(d, n, t, v) != far:
-                    wrong.append((v, t))
-        assert wrong == []
+        assert walk_against_bfs(d, n, range(d ** n)) == []
+
+    @pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 17)
+                                     for n in range(1, 13)
+                                     if 1024 < d ** n <= 4096])
+    def test_equals_bfs_on_seeded_vertices(self, d, n):
+        """The same on 32 seeded vertices of each graph past 1,024 vertices,
+        up to 4,096."""
+        rng = random.Random(d * 100 + n)
+        assert walk_against_bfs(d, n, rng.sample(range(d ** n), 32)) == []
 
     @pytest.mark.parametrize("d,n", [(2, 10), (2, 13), (3, 7), (4, 5)])
     def test_least_outside_and_none_past_eccentricity(self, d, n):
@@ -296,7 +312,7 @@ class TestOutside:
             dist = bfs_distances(g, v)
             ecc = max(dist)
             for t in range(n + 1):
-                w = _outside(d, n, t, v)
+                w = _outside(d, n, t, decode(v, d, n).digits)
                 assert (w is None) == (t >= ecc), (v, t)
                 if w is not None:
                     assert w != v and dist[w] > t, (v, t)
@@ -307,8 +323,8 @@ class TestOutside:
         graph: every other id lies at distance 1."""
         for d in range(2, 257):
             for v in (0, 1, d - 1):
-                assert _outside(d, 1, 0, v) == (1 if v == 0 else 0)
-                assert _outside(d, 1, 1, v) is None
+                assert _outside(d, 1, 0, (v,)) == (1 if v == 0 else 0)
+                assert _outside(d, 1, 1, (v,)) is None
 
 
 def or_loop(ids):

@@ -213,6 +213,13 @@ class TestOrbitRepresentatives:
         hit = [orbit_of[decode(v, d, n).digits] for v in reps]
         assert sorted(hit) == list(range(count))
 
+    @pytest.mark.parametrize("d,n", graphs_up_to(1024, max_d=32))
+    def test_yields_each_word_live(self, d, n):
+        """The radius reads each representative's digits from the list the
+        generator grows, so the list must be that word when yielded."""
+        for value, word in metrics._representatives_from([], d, n, 0, 0):
+            assert tuple(word) == decode(value, d, n).digits
+
     def test_one_word_per_orbit_of_complete_graphs(self):
         """n = 1: every symbol permutation is one orbit of d words."""
         for d in range(2, 1025):
@@ -255,8 +262,9 @@ class TestRadiusDiameterByOrbit:
     def spy_walks(self, monkeypatch):
         calls = []
         walk = metrics._outside
-        monkeypatch.setattr(metrics, "_outside", lambda d, n, t, v:
-                            calls.append((v, t)) or walk(d, n, t, v))
+        monkeypatch.setattr(metrics, "_outside", lambda d, n, t, x:
+                            calls.append((encode(DBString(d, tuple(x))), t))
+                            or walk(d, n, t, x))
         return calls
 
     def test_binary_walks_every_orbit_with_no_traversal(self, monkeypatch):
@@ -283,12 +291,14 @@ class TestRadiusDiameterByOrbit:
                                                         monkeypatch):
         """A witness inside the ball certifies nothing, so the answer
         comes from the walks alone."""
-        monkeypatch.setattr(metrics, "construct_antipodal", lambda y: y)
+        monkeypatch.setattr(metrics, "_antipodal_id", lambda d, word:
+                            encode(DBString(d, tuple(word))))
         assert radius_diameter(DeBruijnGraph(d, n)) == (n, n)
 
     def test_failed_certificate_walks_each_orbit_with_no_traversal(
             self, monkeypatch):
-        monkeypatch.setattr(metrics, "construct_antipodal", lambda y: y)
+        monkeypatch.setattr(metrics, "_antipodal_id", lambda d, word:
+                            encode(DBString(d, tuple(word))))
         calls = self.spy_traversals(monkeypatch)
         walks = self.spy_walks(monkeypatch)
         assert radius_diameter(DeBruijnGraph(3, 4)) == (4, 4)
